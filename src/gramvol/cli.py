@@ -5,10 +5,12 @@ modality per file) and write matrices/traces as CSV.  Diagnostics go to
 stderr; stdout carries data only.  Exit codes are stable:
 
     0  success
-    2  embedding file parse/data error (message carries the line number)
+    2  embedding file parse/data error (message carries the line number),
+       including modality files of different dimensions and, for simmat
+       and eval, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
-    5  configuration error
+    5  configuration error, including an eval --ks cutoff below 1
     6  training diverged (partial trace is still written)
 """
 
@@ -25,6 +27,7 @@ import click
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     DivergedTrainingError,
     EmbeddingParseError,
     GramVolError,
@@ -47,7 +50,7 @@ from .metrics import alignment_metric, retrieval_recall
 from .similarity import CrossVolumeMatrix, ModalityBatch, MultimodalBatch, cross_volume_matrix
 from .synth import generate_dataset
 from .train import train as run_training
-from .volume import gramian_volume, normalize
+from .volume import VolumeBatch, normalize
 
 EXIT_PARSE = 2
 EXIT_MISSING_ID = 3
@@ -57,6 +60,7 @@ EXIT_DIVERGED = 6
 
 _EXIT_CODES: tuple[tuple[type[GramVolError], int], ...] = (
     (EmbeddingParseError, EXIT_PARSE),
+    (DimensionMismatchError, EXIT_PARSE),
     (ZeroVectorError, EXIT_PARSE),
     (NonFiniteInputError, EXIT_PARSE),
     (InconsistentBatchError, EXIT_PARSE),
@@ -123,12 +127,18 @@ def _read_file(path: str):
 def _load_files(paths, do_normalize):
     """[(modality_name, id order, id->vector dict)] with per-file parsing."""
     out = []
+    dims = {}
     for path in paths:
         emb = _read_file(path)
+        dims[path] = emb.n
         by_id = emb.by_id()
         if do_normalize:
             by_id = {i: normalize(v) for i, v in by_id.items()}
+        elif not all(np.isfinite(v).all() for v in by_id.values()):
+            raise NonFiniteInputError(f"{path}: a vector contains NaN or Inf")
         out.append((emb.single_modality(), emb.ids(), by_id))
+    if len(set(dims.values())) > 1:
+        raise DimensionMismatchError(f"modality files have different dimensions: {dims}")
     return out
 
 
@@ -153,6 +163,9 @@ def _assemble_anchor_view(files, anchor_name):
     index the columns, so matched tuples sit on the diagonal.
     """
     names = [name for name, _, _ in files]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InconsistentBatchError(f"duplicate modality {repeated} across files")
     if anchor_name not in names:
         raise UnknownAnchorError(
             f"anchor {anchor_name!r} not among modalities {names}"
@@ -191,11 +204,12 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
         if id_filter is not None:
             ids = [i.strip() for i in id_filter.split(",") if i.strip()]
         k = len(files)
+        vols = []
+        if ids:
+            mats = _gather(files, ids)
+            vols = VolumeBatch(mats[0], mats[1:], paired=True).values
         lines = ["id\tk\tvolume"]
-        for rec_id in ids:
-            vectors = [_lookup(by_id, rec_id, name) for name, _, by_id in files]
-            vol = gramian_volume(vectors).value
-            lines.append(f"{rec_id}\t{k}\t{vol:.12g}")
+        lines += [f"{rec_id}\t{k}\t{vol:.12g}" for rec_id, vol in zip(ids, vols)]
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return
@@ -270,15 +284,19 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     """Retrieval recall over the cross-volume matrix (diagonal = match)."""
     try:
         k_values = [int(k) for k in ks.split(",") if k.strip()]
+        bad = [k for k in k_values if k < 1]
+        if bad:
+            raise ValueError(f"cutoffs must be >= 1, got {bad}")
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, f"bad --ks value: {exc}")
+        return
+    try:
         files = _load_files(paths, opts.normalize)
         ids, anchor_rows, data_rows, data_names = _assemble_anchor_view(files, anchor_name)
         matrix = _volume_batch(ids, anchor_rows, data_rows, anchor_name, data_names)
         recalls = retrieval_recall(matrix, ks=k_values, ascending=True)
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
-        return
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, f"bad --ks value: {exc}")
         return
     report = {"direction": "data_to_anchor", "queries": len(ids)}
     report.update({f"r_at_{k}": recalls[k] for k in k_values})

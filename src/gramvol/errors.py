@@ -21,10 +21,6 @@ class NonFiniteInputError(GramVolError):
     """NaN or Inf in numeric input."""
 
 
-class SingularGramError(GramVolError):
-    """Gram matrix could not be inverted although the volume is not degenerate."""
-
-
 class InconsistentBatchError(GramVolError):
     """Batches that must agree in size, dimension, or norm do not."""
 

@@ -33,7 +33,7 @@ from .errors import (
     EmptyInputError,
     NonFiniteLossError,
 )
-from .volume import _vol_grad_from_rows
+from .volume import VolumeBatch
 
 TAU_MIN = 1e-3
 TAU_MAX = 10.0
@@ -278,28 +278,13 @@ def loss_report(
     b, n = anchor.shape
     k = 1 + len(datas)
 
-    vols = np.empty((b, b))
-    vol_grads = np.empty((b, b, k, n))
-    degenerate = 0
-    m = np.empty((k, n))
-    for i in range(b):
-        for off, d in enumerate(datas):
-            m[1 + off] = d[i]
-        for j in range(b):
-            m[0] = anchor[j]
-            vol, _, gr, deg = _vol_grad_from_rows(m)
-            vols[i, j] = vol
-            vol_grads[i, j] = gr
-            degenerate += deg
-
+    volumes = VolumeBatch(anchor, datas)
+    vols = volumes.values
     l_d2a, l_a2d, dv, g_lt_d2a, g_lt_a2d = _contrastive_parts(vols, tau)
     grad_log_tau = 0.5 * (g_lt_d2a + g_lt_a2d)
     # Chain rule through every (i, j) entry: anchor j appears across rows i,
-    # data row i appears across columns j.
-    grad_anchor = np.einsum("ij,ijn->jn", dv, vol_grads[:, :, 0, :])
-    grad_datas = np.empty((k - 1, b, n))
-    for off in range(k - 1):
-        grad_datas[off] = np.einsum("ij,ijn->in", dv, vol_grads[:, :, 1 + off, :])
+    # data row i appears across columns j.  The kernel sums both directly.
+    grad_anchor, grad_datas = volumes.backward(dv)
 
     l_dam = 0.0
     head_grads = None
@@ -331,7 +316,7 @@ def loss_report(
         grad_datas=grad_datas,
         grad_log_tau=grad_log_tau,
         head_grads=head_grads,
-        degenerate_tuples=degenerate,
+        degenerate_tuples=int(volumes.degenerate.sum()),
     )
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NonSquareError,
 )
 from .similarity import MultimodalBatch
-from .volume import gramian_volume
+from .volume import VolumeBatch
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -86,11 +86,8 @@ def retrieval_report(
 
 def alignment_metric(batch: MultimodalBatch) -> AlignmentScore:
     """Mean volume of the matched tuples in a multimodal batch."""
-    rows_per_sample = [batch.anchor.rows] + [m.rows for m in batch.datas]
-    total = 0.0
-    for i in range(batch.batch_size):
-        total += gramian_volume([m[i] for m in rows_per_sample]).value
-    mean = total / batch.batch_size
+    volumes = VolumeBatch(batch.anchor.rows, [m.rows for m in batch.datas], paired=True)
+    mean = float(np.mean(volumes.values))
     return AlignmentScore(mean_matched_volume=mean, one_minus_gram=1.0 - mean)
 
 

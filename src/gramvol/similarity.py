@@ -4,10 +4,12 @@ A ``MultimodalBatch`` holds one anchor modality and k-1 data modalities
 whose rows are index-aligned samples.  ``cross_volume_matrix`` fills a
 B x B matrix whose (i, j) entry is the parallelotope volume of sample j's
 anchor embedding together with sample i's data embeddings; the matched
-tuples sit on the diagonal.  Each entry is an independent small
-determinant, computed through the exact same routine as
-``volume.gramian_volume``, so the matrix agrees with per-tuple calls
-bit for bit and rows may be computed in any order.
+tuples sit on the diagonal.  The matrix comes from the batched volume
+kernel, ``volume.VolumeBatch``: each sample's data rows are factored once
+(row-wise Gram-Schmidt), and the Schur complement then gives every
+anchor's volume against them from one (B, B, k-1) contraction.  Each
+entry's arithmetic runs over its own vectors in a fixed order, so the
+matrix agrees with per-tuple ``volume.gramian_volume`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentBatchError
-from .volume import _vol_from_rows
+from .volume import VolumeBatch
 
 #: Maximum deviation from unit norm tolerated in a ModalityBatch row.
 UNIT_NORM_TOL = 1e-10
@@ -104,18 +106,7 @@ def cross_volumes(anchor: np.ndarray, datas: Sequence[np.ndarray]) -> np.ndarray
 
     ``out[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``.
     """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    b, n = anchor.shape
-    k = 1 + len(datas)
-    out = np.empty((b, b), dtype=np.float64)
-    m = np.empty((k, n), dtype=np.float64)
-    for i in range(b):
-        for off, d in enumerate(datas):
-            m[1 + off] = d[i]
-        for j in range(b):
-            m[0] = anchor[j]
-            out[i, j] = _vol_from_rows(m)[0]
-    return out
+    return VolumeBatch(anchor, datas).values
 
 
 def cross_volume_matrix(batch: MultimodalBatch) -> CrossVolumeMatrix:

@@ -9,11 +9,20 @@ dissimilarity score for any number of vectors at once.  For k = 2 unit
 vectors it reduces to sin(theta); for k = 1 it is the vector's length;
 for k > n the vectors are linearly dependent and the volume is 0.
 
-Determinants are taken with a diagonally pivoted Cholesky factorization,
-which exploits positive semidefiniteness and detects rank deficiency
-(volume exactly 0) instead of returning roundoff noise.  If roundoff makes
-the matrix indefinite, the determinant falls back to the eigenvalue
-product with negative eigenvalues clamped to 0.
+Every volume comes from one batched kernel, ``VolumeBatch``.  For a
+tuple of an anchor a and k-1 data rows D, the Schur complement of the Gram
+matrix gives det G = det(D D^T) * s, with s the squared distance of a from
+span D.  Each sample's data rows are factored once by a row-wise
+Gram-Schmidt pass on their inner products, so a B x B cross-volume matrix
+costs B small factorizations plus one (B, B, k-1) contraction, and a
+single tuple is the B = 1 case.  Rank deficiency is detected against the
+tolerance k * eps * (largest squared row norm): a pivot or residual at or
+below it gives a volume of exactly 0 instead of roundoff noise.
+
+``psd_det``, the determinant of a given PSD matrix, keeps a diagonally
+pivoted Cholesky factorization with the same tolerance.  If roundoff makes
+the matrix indefinite, it falls back to the eigenvalue product with
+negative eigenvalues clamped to 0.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     NonFiniteInputError,
-    SingularGramError,
     ZeroVectorError,
 )
 
@@ -36,7 +44,7 @@ _EPS = float(np.finfo(np.float64).eps)
 ZERO_NORM_CUTOFF = 1e-30
 
 #: Volumes at or below this threshold get a zero subgradient: the volume is
-#: not differentiable at 0, and the Gram inverse blows up long before that.
+#: not differentiable at 0, and 1 / s and R^-1 blow up long before that.
 DEGENERATE_VOLUME = 1e-9
 
 
@@ -44,8 +52,8 @@ DEGENERATE_VOLUME = 1e-9
 class Volume:
     """A parallelotope volume and the Gram determinant behind it.
 
-    ``gram_det`` is clamped at 0 before the square root, so
-    ``value == sqrt(gram_det)`` always holds.
+    ``gram_det`` is computed first and is exactly 0 under rank deficiency,
+    so ``value == sqrt(gram_det)`` always holds.
     """
 
     value: float
@@ -128,61 +136,19 @@ def gram_matrix(vectors) -> np.ndarray:
     return g
 
 
-def _eig_det_clamped(g: np.ndarray) -> float:
-    """Fallback determinant: eigenvalue product, negatives clamped to 0."""
-    w = np.linalg.eigvalsh(g)
-    return float(np.prod(np.clip(w, 0.0, None)))
+def psd_det(g: np.ndarray) -> float:
+    """Determinant of a symmetric positive semidefinite matrix, >= 0.
 
-
-#: Orders up to this run the factorization on plain Python floats, which is
-#: several times faster than numpy for the tiny matrices this library sees.
-_SCALAR_K_MAX = 8
-
-
-def _det_scalar(g: np.ndarray, k: int) -> float:
-    """Pivoted-Cholesky determinant on a small matrix, scalar arithmetic.
-
-    Reads the upper triangle only (mirrored into the working copy), so the
-    result is indifferent to sub-ulp asymmetry in ``g``.
+    Diagonally pivoted Cholesky over the upper triangle.  A pivot at or
+    below the rank tolerance ends the factorization with determinant
+    exactly 0 (the trailing block of a PSD matrix with negligible diagonal
+    is itself negligible).  A pivot far below zero means the input is not
+    numerically PSD; the determinant is then recomputed from clamped
+    eigenvalues.
     """
-    a = g.tolist()
-    diag_max = 0.0
-    for i in range(k):
-        row = a[i]
-        for j in range(i):
-            row[j] = a[j][i]
-        if row[i] > diag_max:
-            diag_max = row[i]
-    tol = k * _EPS * diag_max
-    det = 1.0
-    for j in range(k):
-        p = j
-        pivot = a[j][j]
-        for r in range(j + 1, k):
-            if a[r][r] > pivot:
-                pivot = a[r][r]
-                p = r
-        if pivot <= tol:
-            if pivot < -1000.0 * (tol if tol > _EPS else _EPS):
-                return _eig_det_clamped(np.asarray(g, dtype=np.float64))
-            return 0.0
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            for row in a:
-                row[j], row[p] = row[p], row[j]
-        det *= pivot
-        col = [a[r][j] for r in range(j + 1, k)]
-        for r in range(j + 1, k):
-            f = col[r - j - 1] / pivot
-            row = a[r]
-            for c in range(j + 1, k):
-                row[c] -= f * col[c - j - 1]
-    return det
-
-
-def _det_numpy(g: np.ndarray, k: int) -> float:
-    """Same factorization in numpy, used above ``_SCALAR_K_MAX``."""
-    a = np.array(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    k = g.shape[0]
+    a = g.copy()
     _mirror_upper(a)
     tol = k * _EPS * max(float(a.diagonal().max()), 0.0)
     det = 1.0
@@ -191,7 +157,7 @@ def _det_numpy(g: np.ndarray, k: int) -> float:
         pivot = float(a[p, p])
         if pivot <= tol:
             if pivot < -1000.0 * max(tol, _EPS):
-                return _eig_det_clamped(np.asarray(g, dtype=np.float64))
+                return float(np.prod(np.clip(np.linalg.eigvalsh(g), 0.0, None)))
             return 0.0
         if p != j:
             a[[j, p], :] = a[[p, j], :]
@@ -203,121 +169,152 @@ def _det_numpy(g: np.ndarray, k: int) -> float:
     return det
 
 
-def psd_det(g: np.ndarray) -> float:
-    """Determinant of a symmetric positive semidefinite matrix, >= 0.
+def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):
+    """Gram-Schmidt step for one more row, written on inner products.
 
-    Diagonally pivoted Cholesky.  A pivot at or below the rank tolerance
-    ends the factorization with determinant exactly 0 (the trailing block of
-    a PSD matrix with negligible diagonal is itself negligible).  A pivot
-    far below zero means the input is not numerically PSD; the determinant
-    is then recomputed from clamped eigenvalues.
+    ``x`` (B, J, t) holds the row's inner products with the first t data
+    rows of each sample and ``norm2`` (B, J) its squared norm; ``u`` and
+    ``p`` are those rows' unscaled factor and pivots.  Returns the row's
+    unscaled coefficients y (B, J, t), y_l = <row, q_l> * sqrt(p_l), and
+    its residual norm2 - sum_l y_l^2 / p_l: its squared distance from the
+    span.  Data rows and anchors run this same code, so an anchor equal to
+    a data row reproduces that row's arithmetic and cancels to within one
+    rounding of its pivot.  The loops are elementwise, with no reduction,
+    so no entry depends on its position in the batch.
     """
-    g = np.asarray(g, dtype=np.float64)
-    return _gram_det(g, g.shape[0])
+    y = np.empty_like(x)
+    res = norm2.copy()
+    for t in range(x.shape[-1]):
+        yt = x[..., t].copy()
+        for l in range(t):
+            yt -= y[..., l] * u[:, None, t, l] / p[:, None, l]
+        y[..., t] = yt
+        res -= yt * yt / p[:, None, t]
+    return y, res
 
 
-def _gram_det(g: np.ndarray, k: int) -> float:
-    if k <= _SCALAR_K_MAX:
-        return _det_scalar(g, k)
-    return _det_numpy(g, k)
+class VolumeBatch:
+    """Volumes of a batch of (anchor, data rows) tuples, with their gradient.
 
+    ``anchor`` is (B, n); ``datas`` holds the k-1 data modalities, each
+    (B, n).  The cross form pairs every anchor with every sample's data
+    rows, ``values[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``
+    of shape (B, B); the paired form keeps only the matched tuples,
+    ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
 
-def _vol_from_rows(rows: np.ndarray) -> tuple[float, float]:
-    """(volume, clamped Gram determinant) for pre-validated stacked rows."""
-    k, n = rows.shape
-    if k > n:
-        # k vectors in R^n with k > n are linearly dependent.
-        return 0.0, 0.0
-    det = _gram_det(rows @ rows.T, k)
-    if det <= 0.0:
-        return 0.0, 0.0
-    return float(np.sqrt(det)), det
+    With D = R Q the Gram-Schmidt factorization of a sample's data rows and
+    c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
+    runs on inner products (``_eliminate``): once over each sample's data
+    rows, whose squared pivots multiply to det(D D^T), and once more for
+    the anchors, on D a.
+    """
+
+    def __init__(self, anchor, datas, paired: bool = False):
+        rows = np.stack([anchor, *datas], axis=1).astype(np.float64, copy=False)
+        a, d = rows[:, 0], rows[:, 1:]
+        b, k, n = rows.shape
+        g = np.einsum("imn,iln->iml", d, d)
+        d2 = np.einsum("imm->im", g).max(axis=1, initial=0.0)
+        a2 = np.einsum("jn,jn->j", a, a)
+        # Per-anchor quantities broadcast along the grid's anchor axis: j in
+        # the cross form, the sample itself (a length-1 axis) when paired.
+        a2 = a2[:, None] if paired else a2[None, :]
+        tol = k * _EPS * np.maximum(a2, d2[:, None])
+        tol_d = k * _EPS * d2
+        u = np.zeros((b, k - 1, k - 1))
+        piv = np.empty((b, k - 1))
+        # A pivot at or below the tolerance is replaced by 1 in ``p``, so
+        # nothing divides by zero; every volume of that sample is 0 anyway.
+        p = np.ones((b, k - 1))
+        det_d = np.ones(b)
+        for t in range(k - 1):
+            y, res = _eliminate(g[:, None, t, :t], g[:, None, t, t], u, p)
+            u[:, t, :t], piv[:, t] = y[:, 0], res[:, 0]
+            p[:, t] = np.where(piv[:, t] > tol_d, piv[:, t], 1.0)
+            det_d *= piv[:, t]
+        if paired:
+            da = np.einsum("imn,in->im", d, a)[:, None, :]
+        else:
+            da = np.einsum("imn,jn->ijm", d, a)
+        y, s = _eliminate(da, a2 + np.zeros(da.shape[:2]), u, p)
+        rank_deficient = (
+            (piv.min(axis=1, initial=np.inf)[:, None] <= tol) | (s <= tol) | (k > n)
+        )
+        det = np.where(rank_deficient, 0.0, det_d[:, None] * s)
+        vol = np.sqrt(det)
+        self._paired = paired
+        self._a, self._d, self._u, self._p, self._y = a, d, u, p, y
+        self._s, self._vol = s, vol
+        self.gram_det = det[:, 0] if paired else det
+        self.values = vol[:, 0] if paired else vol
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Entries at or below ``DEGENERATE_VOLUME``: zero subgradient."""
+        return self.values <= DEGENERATE_VOLUME
+
+    def backward(self, dvalues) -> tuple[np.ndarray, np.ndarray]:
+        """dL/d anchor (B, n) and dL/d datas (k-1, B, n) from dL/d values.
+
+        For each entry, dV/da = V r / s and dV/dD = V R^-T (Q - c r^T / s),
+        with r = a - Q^T c the part of a off span D.  Both are contracted
+        with ``dvalues`` directly, summed over the entries each row joins.
+        """
+        a, d, vol = self._a, self._d, self._vol
+        m = d.shape[1]
+        sqrt_p = np.sqrt(self._p)
+        r = self._u / sqrt_p[:, None, :]
+        r[:, range(m), range(m)] = sqrt_p
+        c = self._y / sqrt_p[:, None, :]
+        q = np.empty_like(d)
+        for t in range(m):
+            q[:, t] = d[:, t]
+            for l in range(t):
+                q[:, t] -= r[:, t, l, None] * q[:, l]
+            q[:, t] /= r[:, t, t, None]
+        live = vol > DEGENERATE_VOLUME
+        w = np.where(live, np.reshape(dvalues, vol.shape), 0.0) * vol
+        alpha = np.divide(w, self._s, out=np.zeros_like(w), where=live)
+        beta = alpha[..., None] * c
+        j = "i" if self._paired else "j"
+        grad_anchor = (np.einsum(f"ij,{j}n->{j}n", alpha, a)
+                       - np.einsum(f"ijm,imn->{j}n", beta, q))
+        x = (w.sum(axis=1)[:, None, None] * q
+             - np.einsum(f"ijm,{j}n->imn", beta, a)
+             + np.einsum("iml,iln->imn", np.einsum("ijm,ijl->iml", beta, c), q))
+        # dL/dD = R^-T x: back substitution over the k-1 rows.
+        for t in reversed(range(m)):
+            for l in range(t + 1, m):
+                x[:, t] -= r[:, l, t, None] * x[:, l]
+            x[:, t] /= r[:, t, t, None]
+        return grad_anchor, np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
 def gramian_volume(vectors) -> Volume:
     """Volume of the parallelotope spanned by the input vectors.
 
-    k = 1 returns the vector's norm; k > n returns 0.  The determinant is
-    clamped at 0 before the square root: it is nonnegative in exact
-    arithmetic but floating point is not exact.
+    k = 1 returns the vector's norm; k > n returns 0.  Computed as the
+    1 x 1 cross form of ``VolumeBatch``, so it equals the matching entry of
+    any cross-volume matrix bit for bit.
     """
     rows = _as_rows(vectors)
     _require_finite(rows)
-    value, det = _vol_from_rows(rows)
-    return Volume(value=value, gram_det=det)
-
-
-def _solve_gram(g: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray | None:
-    """G^-1 @ rows for a small symmetric G; None when closed forms degrade.
-
-    k = 2 and 3 use the adjugate over the upper triangle of ``g``; larger
-    orders fall through to the caller's LAPACK path.
-    """
-    if k == 1:
-        d = g[0, 0]
-        return rows / d if d > 0.0 else None
-    if k == 2:
-        a, b, d = g[0, 0], g[0, 1], g[1, 1]
-        det2 = a * d - b * b
-        if det2 <= 0.0:
-            return None
-        inv = np.array([[d, -b], [-b, a]]) / det2
-        return inv @ rows
-    if k == 3:
-        a, b, c = g[0, 0], g[0, 1], g[0, 2]
-        d, e, f = g[1, 1], g[1, 2], g[2, 2]
-        m00 = d * f - e * e
-        m01 = c * e - b * f
-        m02 = b * e - c * d
-        det3 = a * m00 + b * m01 + c * m02
-        if det3 <= 0.0:
-            return None
-        inv = np.array([
-            [m00, m01, m02],
-            [m01, a * f - c * c, b * c - a * e],
-            [m02, b * c - a * e, a * d - b * b],
-        ]) / det3
-        return inv @ rows
-    return None
-
-
-def _vol_grad_from_rows(
-    rows: np.ndarray,
-) -> tuple[float, float, np.ndarray, bool]:
-    """(volume, det, gradient rows, degenerate flag) for stacked rows.
-
-    With A the n x k matrix of column vectors, dVol/dA = Vol * A * G^-1;
-    row i of the returned array is that matrix's column i.  At or below
-    ``DEGENERATE_VOLUME`` the rows are a zero subgradient.
-    """
-    k, n = rows.shape
-    if k > n:
-        return 0.0, 0.0, np.zeros_like(rows), True
-    g = rows @ rows.T
-    det = _gram_det(g, k)
-    vol = float(np.sqrt(det)) if det > 0.0 else 0.0
-    if vol <= DEGENERATE_VOLUME:
-        return vol, max(det, 0.0), np.zeros_like(rows), True
-    x = _solve_gram(g, rows, k)
-    if x is None:
-        _mirror_upper(g)
-        try:
-            x = np.linalg.solve(g, rows)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGramError(
-                f"Gram matrix not invertible although volume is {vol:.3e}"
-            ) from exc
-    return vol, det, vol * x, False
+    batch = VolumeBatch(rows[:1], rows[1:, None])
+    return Volume(value=float(batch.values[0, 0]), gram_det=float(batch.gram_det[0, 0]))
 
 
 def volume_gradient(vectors) -> VolumeGradient:
     """Gradient of ``gramian_volume`` with respect to every input vector.
 
-    Raises ``SingularGramError`` only in the inconsistent case where the
-    volume is above the degeneracy threshold yet the Gram matrix cannot be
-    inverted.
+    With A the n x k matrix of column vectors, dVol/dA = Vol * A * G^-1;
+    row i of ``grads`` is that matrix's column i.  At or below
+    ``DEGENERATE_VOLUME`` the rows are a zero subgradient.
     """
     rows = _as_rows(vectors)
     _require_finite(rows)
-    _, _, grads, degenerate = _vol_grad_from_rows(rows)
-    return VolumeGradient(grads=grads, degenerate=degenerate)
+    batch = VolumeBatch(rows[:1], rows[1:, None], paired=True)
+    grad_anchor, grad_datas = batch.backward(np.ones(1))
+    return VolumeGradient(
+        grads=np.concatenate([grad_anchor, grad_datas[:, 0]]),
+        degenerate=bool(batch.degenerate[0]),
+    )

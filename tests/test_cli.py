@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -85,6 +86,14 @@ class TestVolumeCommand:
         res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         assert res.returncode == 3
 
+    def test_mixed_dimensions_exit_2(self, tmp_path):
+        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[1.0, 0.0]]))
+        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 1.0, 0.0]]))
+        res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        assert res.returncode == 2
+        assert "dimension" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_id_filter(self, tmp_path):
         write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
         write_modality(tmp_path / "b.jsonl", "b", ["p", "q"], np.eye(2)[::-1].copy())
@@ -138,6 +147,18 @@ class TestSimmatCommand:
         expected = gv.cross_volume_matrix(batch).values
         assert np.abs(got - expected).max() < 1e-9
 
+    @pytest.mark.parametrize("command", ["simmat", "eval"])
+    def test_duplicate_modality_exit_2(self, tmp_path, rng, command):
+        ids = ["a", "b", "c"]
+        for fname, name in (("t1", "txt"), ("t2", "txt"), ("v", "vid")):
+            write_modality(tmp_path / f"{fname}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        res = run_cli("--out", tmp_path / "out.csv", command,
+                      *(tmp_path / f"{f}.jsonl" for f in ("t1", "t2", "v")),
+                      "--anchor", "txt")
+        assert res.returncode == 2
+        assert "duplicate modality" in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unknown_anchor_exit_4(self, orthogonal_pair_files):
         res = run_cli("simmat", orthogonal_pair_files / "a.jsonl",
                       orthogonal_pair_files / "m.jsonl", "--anchor", "nope")
@@ -184,6 +205,25 @@ class TestTrainCommand:
             outs.append(out)
         for fname in ("trace.csv", "checkpoint.bin", "checkpoint.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
+            "noise_sigma = 0.05\nsamples = 512\nbatch_size = 64\nepochs = 2\n"
+            "seed = 3\neval_max_samples = 128\n"
+        )
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
+        assert blobs[0] == blobs[1]
 
     def test_matched_volume_improves(self, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -260,6 +300,17 @@ class TestEvalCommand:
         assert res.returncode == 0
         assert len(res.stdout.strip().split("\n")) == 1
         json.loads(res.stdout)
+
+    @pytest.mark.parametrize("ks", ["0", "-1", "1,0,5"])
+    def test_nonpositive_cutoff_exit_5(self, tmp_path, rng, ks):
+        ids = ["a", "b", "c"]
+        for name in ("txt", "vid"):
+            write_modality(tmp_path / f"{name}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        res = run_cli("eval", tmp_path / "txt.jsonl", tmp_path / "vid.jsonl",
+                      "--anchor", "txt", "--ks", ks)
+        assert res.returncode == 5
+        assert "bad --ks value" in res.stderr
+        assert res.stdout == ""
 
 
 class TestMetricCommand:

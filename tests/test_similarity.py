@@ -105,6 +105,41 @@ class TestCrossVolumeMatrix:
             gv.cross_volume_matrix(permuted).values, values[np.ix_(perm, perm)]
         )
 
+    @pytest.mark.parametrize("b, k, n", [(64, 3, 64), (40, 4, 256)])
+    def test_bit_identical_to_per_tuple_calls(self, rng, b, k, n):
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        per_tuple = np.array([
+            [gv.gramian_volume([anchor[j]] + [d[i] for d in datas]).value for j in range(b)]
+            for i in range(b)
+        ])
+        assert np.array_equal(gv.cross_volumes(anchor, datas), per_tuple)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tuples_repeating_their_anchor_give_zero_rows(self, rng, k):
+        b, n, dup = 8, 8, [0, 3, 5, 6]
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        for d in datas:
+            d[dup] = anchor[dup]
+        values = gv.cross_volumes(anchor, datas)
+        assert np.array_equal(values[dup], np.zeros((len(dup), b)))
+        assert (np.delete(values, dup, axis=0) > 1e-3).all()
+        rep = gv.loss_report(anchor, datas, gv.Temperature.from_tau(1.0))
+        assert rep.degenerate_tuples == len(dup) * b
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_anchor_repeating_one_data_row_gives_exact_zero(self, rng, k):
+        # Sample i's anchor repeats one of its data rows, chosen per sample,
+        # so every matched tuple is rank deficient and its volume exactly 0.
+        b, n = 400, 256
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        which = rng.integers(0, k - 1, size=b)
+        for i, m in enumerate(which):
+            datas[m][i] = anchor[i]
+        assert np.array_equal(np.diag(gv.cross_volumes(anchor, datas)), np.zeros(b))
+
 
 class TestCosineMatrix:
     def test_identity_for_identical_orthonormal_rows(self):

@@ -158,6 +158,39 @@ class TestGramianVolume:
         v = gv.gramian_volume(rows).value
         assert 0.0 <= v <= 1.0 + 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
+        st.floats(-9.0, 0.0), st.booleans(), st.booleans(),
+    )
+    def test_matches_cofactor_oracle_near_degenerate(
+        self, k, n, seed, log_gap, unit, collinear
+    ):
+        # One row sits 10**log_gap off the span of the others, so volumes
+        # run from about 1e-9 to 1.  Non-unit rows scale the tolerance with
+        # the Hadamard bound (the product of squared row norms) and with the
+        # spread of squared norms, since the rank tolerance is relative to
+        # the longest row and may judge a short one dependent.
+        r = np.random.default_rng(seed)
+        rows = unit_rows(r, k, n)
+        if k > 1:
+            mix = r.standard_normal(k - 1) @ rows[1:]
+            rows[0] = mix + 10.0 ** log_gap * unit_rows(r, 1, n)[0]
+            rows = rows[r.permutation(k)]
+        if not unit:
+            rows *= 10.0 ** r.uniform(-2.0, 2.0, size=(k, 1))
+        collinear = collinear and k >= 3
+        if collinear:
+            rows[-1] = r.uniform(-3.0, 3.0) * rows[-2]  # two data rows
+        vol = gv.gramian_volume(rows)
+        assert vol.value == math.sqrt(vol.gram_det)
+        if k > n or collinear:
+            assert vol.value == 0.0 and vol.gram_det == 0.0
+            return
+        norms2 = np.einsum("kn,kn->k", rows, rows)
+        bound = 1e-12 * np.prod(norms2) * norms2.max() / norms2.min()
+        assert abs(vol.gram_det - cofactor_det(rows @ rows.T)) <= bound
+
     def test_sine_equivalence_for_pairs(self, rng):
         for _ in range(200):
             rows = unit_rows(rng, 2, 6)
