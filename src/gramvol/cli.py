@@ -10,12 +10,14 @@ stderr; stdout carries data only.  Exit codes are stable:
        and eval, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
-    5  configuration error, including an eval --ks cutoff below 1
+    5  configuration error, including an eval --ks cutoff below 1 and an
+       --out path that cannot be written ("cannot write <path>: <reason>")
     6  training diverged (partial trace is still written)
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -76,6 +78,20 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Exit 5 with one line when writing the output at ``path`` fails."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_output(path: Path, text: str) -> None:
+    with _writing(path):
+        _atomic_write_text(path, text)
+
+
 def _write_report(path: Path, report: dict, json_line: str) -> None:
     """Write a flat report: CSV when the target ends in .csv, else JSON."""
     if str(path).endswith(".csv"):
@@ -83,9 +99,9 @@ def _write_report(path: Path, report: dict, json_line: str) -> None:
         values = ",".join(
             v if isinstance(v, str) else repr(v) for v in report.values()
         )
-        _atomic_write_text(path, f"{header}\n{values}\n")
+        _write_output(path, f"{header}\n{values}\n")
     else:
-        _atomic_write_text(path, json_line + "\n")
+        _write_output(path, json_line + "\n")
 
 
 def _exit_code_for(exc: GramVolError) -> int:
@@ -213,9 +229,9 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return
-    click.echo("\n".join(lines))
     if opts.out is not None:
-        _atomic_write_text(opts.out, "\n".join(lines) + "\n")
+        _write_output(opts.out, "\n".join(lines) + "\n")
+    click.echo("\n".join(lines))
 
 
 @main.command("simmat")
@@ -238,7 +254,7 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     for i, rec_id in enumerate(ids):
         writer.writerow([rec_id] + [f"{v:.12g}" for v in matrix.values[i]])
     out_path = opts.out if opts.out is not None else Path("simmat.csv")
-    _atomic_write_text(out_path, buf.getvalue())
+    _write_output(out_path, buf.getvalue())
     click.echo(f"wrote {out_path}", err=True)
 
 
@@ -259,19 +275,22 @@ def cmd_train(opts: CliOptions, config_path):
         spec = dataclasses.replace(spec, seed=opts.seed)
         config = dataclasses.replace(config, seed=opts.seed)
     out_dir = opts.out if opts.out is not None else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(spec)
     try:
         result = run_training(config, dataset, embed_dim=spec.embed_dim)
     except DivergedTrainingError as exc:
         if exc.trace is not None:
-            write_trace_csv(out_dir / "trace.csv", exc.trace)
+            with _writing(out_dir):
+                write_trace_csv(out_dir / "trace.csv", exc.trace)
         _fail(EXIT_DIVERGED, str(exc))
         return
-    write_trace_csv(out_dir / "trace.csv", result.trace)
-    write_checkpoint(
-        out_dir / "checkpoint.bin", out_dir / "checkpoint.json", result.params
-    )
+    with _writing(out_dir):
+        write_trace_csv(out_dir / "trace.csv", result.trace)
+        write_checkpoint(
+            out_dir / "checkpoint.bin", out_dir / "checkpoint.json", result.params
+        )
     click.echo(f"wrote {out_dir / 'trace.csv'} and {out_dir / 'checkpoint.bin'}", err=True)
 
 
@@ -301,9 +320,9 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     report = {"direction": "data_to_anchor", "queries": len(ids)}
     report.update({f"r_at_{k}": recalls[k] for k in k_values})
     line = json.dumps(report)
-    click.echo(line)
     if opts.out is not None:
         _write_report(opts.out, report, line)
+    click.echo(line)
 
 
 @main.command("metric")
@@ -332,9 +351,9 @@ def cmd_metric(opts: CliOptions, paths):
         "samples": len(ids),
     }
     line = json.dumps(report)
-    click.echo(line)
     if opts.out is not None:
         _write_report(opts.out, report, line)
+    click.echo(line)
 
 
 if __name__ == "__main__":

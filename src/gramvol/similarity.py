@@ -7,9 +7,10 @@ anchor embedding together with sample i's data embeddings; the matched
 tuples sit on the diagonal.  The matrix comes from the batched volume
 kernel, ``volume.VolumeBatch``: each sample's data rows are factored once
 (row-wise Gram-Schmidt), and the Schur complement then gives every
-anchor's volume against them from one (B, B, k-1) contraction.  Each
-entry's arithmetic runs over its own vectors in a fixed order, so the
-matrix agrees with per-tuple ``volume.gramian_volume`` calls bit for bit.
+anchor's volume against them from one (B, B, k-1) grid of inner products.
+Each of those is one BLAS ``ddot`` call over the entry's own two vectors,
+so the matrix agrees with per-tuple ``volume.gramian_volume`` calls bit
+for bit, at any BLAS thread count.
 """
 
 from __future__ import annotations

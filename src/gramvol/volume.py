@@ -15,12 +15,23 @@ matrix gives det G = det(D D^T) * s, with s the squared distance of a from
 span D.  Each sample's data rows are factored once by a row-wise
 Gram-Schmidt pass on their inner products, so a B x B cross-volume matrix
 costs B small factorizations plus one (B, B, k-1) contraction, and a
-single tuple is the B = 1 case.  Rank deficiency is detected against the
-tolerance k * eps * (largest squared row norm): a pivot or residual at or
-below it gives a volume of exactly 0 instead of roundoff noise.
+single tuple is the B = 1 case.  Rank deficiency is detected row by row:
+a data row's pivot at or below k * eps * (its squared norm), or an
+anchor's residual at or below k * eps * |a|^2, gives a volume of exactly 0
+instead of roundoff noise.  Each row is judged against its own norm, so
+the test does not change when rows are rescaled.
+
+The contractions run on BLAS.  Every inner product of the forward pass is
+one ``ddot`` call over an entry's own two vectors (``_dots``), so a cross
+entry equals the per-tuple call bit for bit; n is cut into chunks short
+enough that OpenBLAS runs each call on one thread.  The backward pass
+contracts over the B x B grid with GEMMs, which OpenBLAS splits across
+output rows and columns but never across the summed dimension.  So results
+are the same bytes at any BLAS thread count.
 
 ``psd_det``, the determinant of a given PSD matrix, keeps a diagonally
-pivoted Cholesky factorization with the same tolerance.  If roundoff makes
+pivoted Cholesky factorization with the tolerance k * eps * (largest
+diagonal entry).  If roundoff makes
 the matrix indefinite, it falls back to the eigenvalue product with
 negative eigenvalues clamped to 0.
 """
@@ -169,6 +180,28 @@ def psd_det(g: np.ndarray) -> float:
     return det
 
 
+#: Longest stretch of n that one BLAS ``ddot`` call sees.  OpenBLAS splits a
+#: single ``ddot`` across threads above 10,000 elements, which changes its
+#: summation order; below that it runs on one thread.
+_DOT_CHUNK = 8192
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis, broadcasting the others.
+
+    Every inner product of the kernel goes through here.  ``np.vecdot``
+    makes one BLAS ``ddot`` call per entry over that entry's own two
+    vectors, so an entry's bits depend on its vectors only, never on its
+    position in the batch.  Chunks of at most ``_DOT_CHUNK`` elements,
+    added in index order, keep each call on one thread, so the bits do not
+    depend on the BLAS thread count either.
+    """
+    out = np.vecdot(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
+    for lo in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
+        out = out + np.vecdot(x[..., lo:lo + _DOT_CHUNK], y[..., lo:lo + _DOT_CHUNK])
+    return out
+
+
 def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):
     """Gram-Schmidt step for one more row, written on inner products.
 
@@ -204,23 +237,24 @@ class VolumeBatch:
 
     With D = R Q the Gram-Schmidt factorization of a sample's data rows and
     c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
-    runs on inner products (``_eliminate``): once over each sample's data
-    rows, whose squared pivots multiply to det(D D^T), and once more for
-    the anchors, on D a.
+    runs on inner products (``_dots``, then ``_eliminate``): once over each
+    sample's data rows, whose squared pivots multiply to det(D D^T), and
+    once more for the anchors, on D a.
     """
 
     def __init__(self, anchor, datas, paired: bool = False):
         rows = np.stack([anchor, *datas], axis=1).astype(np.float64, copy=False)
         a, d = rows[:, 0], rows[:, 1:]
         b, k, n = rows.shape
-        g = np.einsum("imn,iln->iml", d, d)
-        d2 = np.einsum("imm->im", g).max(axis=1, initial=0.0)
-        a2 = np.einsum("jn,jn->j", a, a)
+        g = _dots(d[:, :, None], d[:, None, :])
+        a2 = _dots(a, a)
         # Per-anchor quantities broadcast along the grid's anchor axis: j in
         # the cross form, the sample itself (a length-1 axis) when paired.
         a2 = a2[:, None] if paired else a2[None, :]
-        tol = k * _EPS * np.maximum(a2, d2[:, None])
-        tol_d = k * _EPS * d2
+        # Each pivot and residual is judged against its own row's squared
+        # norm, so the test does not depend on the rows' relative scales.
+        tol_d = k * _EPS * g[:, range(k - 1), range(k - 1)]
+        tol_s = k * _EPS * a2
         u = np.zeros((b, k - 1, k - 1))
         piv = np.empty((b, k - 1))
         # A pivot at or below the tolerance is replaced by 1 in ``p``, so
@@ -230,15 +264,15 @@ class VolumeBatch:
         for t in range(k - 1):
             y, res = _eliminate(g[:, None, t, :t], g[:, None, t, t], u, p)
             u[:, t, :t], piv[:, t] = y[:, 0], res[:, 0]
-            p[:, t] = np.where(piv[:, t] > tol_d, piv[:, t], 1.0)
+            p[:, t] = np.where(piv[:, t] > tol_d[:, t], piv[:, t], 1.0)
             det_d *= piv[:, t]
         if paired:
-            da = np.einsum("imn,in->im", d, a)[:, None, :]
+            da = _dots(d, a[:, None])[:, None]
         else:
-            da = np.einsum("imn,jn->ijm", d, a)
+            da = _dots(d[:, None], a[None, :, None])
         y, s = _eliminate(da, a2 + np.zeros(da.shape[:2]), u, p)
         rank_deficient = (
-            (piv.min(axis=1, initial=np.inf)[:, None] <= tol) | (s <= tol) | (k > n)
+            (piv <= tol_d).any(axis=1)[:, None] | (s <= tol_s) | (k > n)
         )
         det = np.where(rank_deficient, 0.0, det_d[:, None] * s)
         vol = np.sqrt(det)
@@ -261,7 +295,7 @@ class VolumeBatch:
         with ``dvalues`` directly, summed over the entries each row joins.
         """
         a, d, vol = self._a, self._d, self._vol
-        m = d.shape[1]
+        b, m, n = d.shape
         sqrt_p = np.sqrt(self._p)
         r = self._u / sqrt_p[:, None, :]
         r[:, range(m), range(m)] = sqrt_p
@@ -276,12 +310,15 @@ class VolumeBatch:
         w = np.where(live, np.reshape(dvalues, vol.shape), 0.0) * vol
         alpha = np.divide(w, self._s, out=np.zeros_like(w), where=live)
         beta = alpha[..., None] * c
-        j = "i" if self._paired else "j"
-        grad_anchor = (np.einsum(f"ij,{j}n->{j}n", alpha, a)
-                       - np.einsum(f"ijm,imn->{j}n", beta, q))
-        x = (w.sum(axis=1)[:, None, None] * q
-             - np.einsum(f"ijm,{j}n->imn", beta, a)
-             + np.einsum("iml,iln->imn", np.einsum("ijm,ijl->iml", beta, c), q))
+        beta_t = beta.transpose(0, 2, 1)
+        if self._paired:
+            grad_anchor = alpha * a - (beta @ q)[:, 0]
+            beta_a = beta_t @ a[:, None]
+        else:
+            grad_anchor = (alpha.sum(axis=0)[:, None] * a
+                           - beta.transpose(1, 0, 2).reshape(b, b * m) @ q.reshape(b * m, n))
+            beta_a = (beta_t.reshape(b * m, b) @ a).reshape(b, m, n)
+        x = w.sum(axis=1)[:, None, None] * q - beta_a + (beta_t @ c) @ q
         # dL/dD = R^-T x: back substitution over the k-1 rows.
         for t in reversed(range(m)):
             for l in range(t + 1, m):

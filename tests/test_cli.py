@@ -350,3 +350,33 @@ class TestMetricCommand:
         assert report["mean_matched_volume"] == pytest.approx(
             expected.mean_matched_volume, abs=1e-12
         )
+
+
+class TestUnwritableOut:
+    def test_train_out_is_existing_file_exit_5(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TestTrainCommand.CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        res = run_cli("--out", out, "train", cfg)
+        assert res.returncode == 5
+        assert res.stderr.strip().splitlines() == [
+            f"error: cannot write {out}: File exists"
+        ]
+        assert out.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command", ["volume", "simmat", "eval", "metric"])
+    def test_missing_directory_exit_5(self, tmp_path, rng, command):
+        ids = ["a", "b", "c"]
+        for name in ("txt", "vid"):
+            write_modality(tmp_path / f"{name}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        out = tmp_path / "nodir" / "x.csv"
+        extra = ["--anchor", "txt"] if command in ("simmat", "eval") else []
+        res = run_cli("--out", out, command,
+                      tmp_path / "txt.jsonl", tmp_path / "vid.jsonl", *extra)
+        assert res.returncode == 5
+        assert res.stderr.strip().splitlines() == [
+            f"error: cannot write {out}: No such file or directory"
+        ]
+        assert res.stdout == ""
+        assert not (tmp_path / "nodir").exists()

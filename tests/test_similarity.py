@@ -1,5 +1,9 @@
 """Cross-volume and cosine matrices against per-tuple oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,6 +143,26 @@ class TestCrossVolumeMatrix:
         for i, m in enumerate(which):
             datas[m][i] = anchor[i]
         assert np.array_equal(np.diag(gv.cross_volumes(anchor, datas)), np.zeros(b))
+
+
+    def test_bit_identical_across_blas_thread_counts_at_large_n(self):
+        # Above 10,000 elements OpenBLAS would split one dot product across
+        # threads and change its summation order.
+        script = (
+            "import numpy as np, gramvol as gv\n"
+            "r = np.random.default_rng(9)\n"
+            "x = r.standard_normal((3, 6, 16384))\n"
+            "x /= np.linalg.norm(x, axis=-1, keepdims=True)\n"
+            "print(gv.cross_volumes(x[0], [x[1], x[2]]).tobytes().hex())\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, env=env)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestCosineMatrix:

@@ -1,6 +1,7 @@
 """Core volume math: examples, invariants, and gradient correctness."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gramvol.errors import (
     NonFiniteInputError,
     ZeroVectorError,
 )
-from gramvol.volume import DEGENERATE_VOLUME, psd_det
+from gramvol.volume import DEGENERATE_VOLUME, VolumeBatch, psd_det
 
 from conftest import central_diff, cofactor_det, random_orthogonal, rel_err, unit_rows
 
@@ -191,6 +192,27 @@ class TestGramianVolume:
         bound = 1e-12 * np.prod(norms2) * norms2.max() / norms2.min()
         assert abs(vol.gram_det - cofactor_det(rows @ rows.T)) <= bound
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    def test_short_row_off_span_of_long_rows(self, order):
+        # A short anchor, a few 1e-6 radians off the span of two long data
+        # rows: each row is judged against its own norm, so the volume is
+        # not mistaken for 0 whichever row leads.
+        st = 2.6e-6
+        rows = np.array([
+            0.3 * np.array([math.sqrt(1.0 - st * st), 0.0, st, 0.0]),
+            [52.0, 0.0, 0.0, 0.0],
+            [0.0, 22.5, 0.0, 0.0],
+        ])[list(order)]
+        exact = [[Fraction(float(x)) for x in r] for r in rows]
+        g = [[sum(x * y for x, y in zip(u, v)) for v in exact] for u in exact]
+        det = float(
+            g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
+        )
+        assert det == pytest.approx(8.3283876e-7, rel=1e-7)
+        assert gv.gramian_volume(rows).gram_det == pytest.approx(det, rel=1e-4)
+
     def test_sine_equivalence_for_pairs(self, rng):
         for _ in range(200):
             rows = unit_rows(rng, 2, 6)
@@ -264,3 +286,52 @@ class TestVolumeGradient:
 
     def test_threshold_exported(self):
         assert DEGENERATE_VOLUME == 1e-9
+
+
+class TestVolumeBatchBackward:
+    """The batched backward against weighted sums of per-tuple gradients."""
+
+    @staticmethod
+    def inputs(rng, b, k, n):
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        datas[-1][2] = anchor[1]  # tuple (data 2, anchor 1) is degenerate
+        return anchor, datas
+
+    @staticmethod
+    def per_tuple(anchor, datas, i, j):
+        grad = gv.volume_gradient([anchor[j]] + [d[i] for d in datas])
+        return grad.grads
+
+    @pytest.mark.parametrize("b, k, n", [(7, 3, 5), (6, 4, 9)])
+    def test_cross_form(self, rng, b, k, n):
+        anchor, datas = self.inputs(rng, b, k, n)
+        w = rng.standard_normal((b, b))
+        batch = VolumeBatch(anchor, datas)
+        assert batch.degenerate[2, 1]
+        expected_anchor = np.zeros((b, n))
+        expected_datas = np.zeros((k - 1, b, n))
+        largest = 0.0
+        for i in range(b):
+            for j in range(b):
+                g = self.per_tuple(anchor, datas, i, j)
+                largest = max(largest, np.abs(g).max())
+                expected_anchor[j] += w[i, j] * g[0]
+                expected_datas[:, i] += w[i, j] * g[1:]
+        grad_anchor, grad_datas = batch.backward(w)
+        assert np.abs(grad_anchor - expected_anchor).max() <= 1e-12 * largest
+        assert np.abs(grad_datas - expected_datas).max() <= 1e-12 * largest
+
+    @pytest.mark.parametrize("b, k, n", [(7, 3, 5), (6, 4, 9)])
+    def test_paired_form(self, rng, b, k, n):
+        anchor, datas = self.inputs(rng, b, k, n)
+        datas[-1][1] = anchor[1]  # matched tuple 1 is degenerate
+        w = rng.standard_normal(b)
+        batch = VolumeBatch(anchor, datas, paired=True)
+        assert batch.degenerate[1]
+        grads = np.array([self.per_tuple(anchor, datas, i, i) for i in range(b)])
+        grad_anchor, grad_datas = batch.backward(w)
+        largest = np.abs(grads).max()
+        expected = w[:, None, None] * grads
+        assert np.abs(grad_anchor - expected[:, 0]).max() <= 1e-12 * largest
+        assert np.abs(grad_datas - expected[:, 1:].transpose(1, 0, 2)).max() <= 1e-12 * largest
