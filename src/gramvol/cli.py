@@ -12,7 +12,9 @@ stderr; stdout carries data only.  Exit codes are stable:
     4  unknown anchor modality name
     5  configuration error, including an eval --ks cutoff below 1 and an
        --out path that cannot be written ("cannot write <path>: <reason>")
-    6  training diverged (partial trace is still written)
+    6  training diverged, or an encoder produced a zero embedding (partial
+       trace is still written); any other library error in train exits
+       with its code above, or 1, and a one-line message
 """
 
 from __future__ import annotations
@@ -285,6 +287,9 @@ def cmd_train(opts: CliOptions, config_path):
             with _writing(out_dir):
                 write_trace_csv(out_dir / "trace.csv", exc.trace)
         _fail(EXIT_DIVERGED, str(exc))
+        return
+    except GramVolError as exc:
+        _fail(_exit_code_for(exc), str(exc))
         return
     with _writing(out_dir):
         write_trace_csv(out_dir / "trace.csv", result.trace)

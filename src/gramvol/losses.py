@@ -3,11 +3,12 @@
 The contrastive part scores each sample against every in-batch candidate
 with negated volumes divided by a learnable temperature, then applies the
 usual two-direction softmax cross entropy (data-to-anchor over rows of the
-cross-volume matrix, anchor-to-data over its columns).  The matching part
+cross-volume matrix, anchor-to-data over its columns).  One core,
+``contrastive(z)``, serves the volume logits ``-V / tau``, the cosine
+baseline's ``D A^T / tau`` and forward-only evaluation.  The matching part
 is a binary cross entropy over a small feed-forward head that sees the
 concatenated modality embeddings of a matched tuple and of one mined hard
-negative per sample (the off-diagonal candidate with the smallest volume,
-i.e. the most confusable one).
+negative per sample (the off-diagonal candidate with the smallest volume).
 
 The combined objective is
 
@@ -108,14 +109,42 @@ def _volume_values(volumes) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _direction(z: np.ndarray, axis: int, grad: bool):
+    """``(loss, B * dloss/dz or None)`` for the softmax cross entropy of
+    ``z`` along ``axis``, diagonal positive.  One exp matrix, shifted and
+    summed along ``axis`` (no transposed copy), is divided in place."""
+    top = z.max(axis=axis, keepdims=True)
+    e = z - top
+    np.exp(e, out=e)
+    s = e.sum(axis=axis, keepdims=True)
+    loss = float(np.mean(np.log(s).ravel() + top.ravel() - np.diagonal(z)))
+    if not grad:
+        return loss, None
+    e /= s
+    e.flat[:: z.shape[0] + 1] -= 1.0
+    return loss, e
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - z.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+def contrastive(z: np.ndarray, grad: bool = True):
+    """Two-direction softmax cross entropy of a B x B logit matrix.
+
+    Returns ``(row loss, column loss, dL/dz)`` with the diagonal as the
+    positive and ``L`` the mean of the two directions; ``dL/dz`` is None
+    unless ``grad``.  Reductions use ``np.sum``, never a flattened BLAS
+    dot, so results do not depend on the BLAS thread count.
+    """
+    l_rows, dz = _direction(z, 1, grad)
+    l_cols, dz_cols = _direction(z, 0, grad)
+    if grad:
+        dz += dz_cols
+        dz *= 0.5 / z.shape[0]
+    return l_rows, l_cols, dz
+
+
+def _volume_logits(v: np.ndarray, tau: Temperature) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise NonFiniteLossError("cross-volume matrix contains NaN or Inf")
+    return -v / tau.tau
 
 
 def gram_contrastive_loss(volumes, tau: Temperature) -> tuple[float, float]:
@@ -124,12 +153,9 @@ def gram_contrastive_loss(volumes, tau: Temperature) -> tuple[float, float]:
     Returns ``(l_d2a, l_a2d)``: row-wise and column-wise softmax cross
     entropy of ``-volumes / tau`` with the diagonal as the positive.
     """
-    v = _volume_values(volumes)
-    if not np.isfinite(v).all():
-        raise NonFiniteLossError("cross-volume matrix contains NaN or Inf")
-    z = -v / tau.tau
-    l_d2a = float(-np.mean(np.diag(_log_softmax_rows(z))))
-    l_a2d = float(-np.mean(np.diag(_log_softmax_rows(z.T))))
+    l_d2a, l_a2d, _ = contrastive(
+        _volume_logits(_volume_values(volumes), tau), grad=False
+    )
     return l_d2a, l_a2d
 
 
@@ -170,28 +196,18 @@ def hard_negative_mine(volumes) -> list[tuple[int, int]]:
 
 
 def _contrastive_parts(v: np.ndarray, tau: Temperature):
-    """Losses plus d(loss)/d(volumes) and d(loss)/d(log tau), per direction.
+    """Losses, d(loss)/d(volumes), and d(loss)/d(log tau) per direction.
 
-    With z = -v / tau, the row-direction loss gradient in z-space is
-    -(I - softmax_rows(z)) / B; since dz/d(log tau) = -z, the temperature
-    gradient is -sum(dL/dz * z).
+    The per-direction halves of ``contrastive``.  Since dz/d(log tau) = -z,
+    each temperature gradient is -sum(dL/dz * z).
     """
-    if not np.isfinite(v).all():
-        raise NonFiniteLossError("cross-volume matrix contains NaN or Inf")
-    t = tau.tau
-    b = v.shape[0]
-    z = -v / t
-    ls_rows = _log_softmax_rows(z)
-    ls_cols = _log_softmax_rows(z.T)
-    l_d2a = float(-np.mean(np.diag(ls_rows)))
-    l_a2d = float(-np.mean(np.diag(ls_cols)))
-    eye = np.eye(b)
-    dz_d2a = -(eye - _softmax_rows(z)) / b
-    dz_a2d = -(eye - _softmax_rows(z.T)).T / b
-    g_logtau_d2a = float(-np.sum(dz_d2a * z))
-    g_logtau_a2d = float(-np.sum(dz_a2d * z))
-    dz_total = 0.5 * (dz_d2a + dz_a2d)
-    dv_total = dz_total * (-1.0 / t)
+    z = _volume_logits(v, tau)
+    b = z.shape[0]
+    l_d2a, dz_d2a = _direction(z, 1, True)
+    l_a2d, dz_a2d = _direction(z, 0, True)
+    g_logtau_d2a = -float(np.sum(dz_d2a * z)) / b
+    g_logtau_a2d = -float(np.sum(dz_a2d * z)) / b
+    dv_total = (dz_d2a + dz_a2d) * (-0.5 / (b * tau.tau))
     return l_d2a, l_a2d, dv_total, g_logtau_d2a, g_logtau_a2d
 
 
@@ -218,46 +234,65 @@ class DamHead:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "w3": self.w3, "b3": self.b3}
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
-
     def logits(self, x: np.ndarray) -> np.ndarray:
         h1 = np.tanh(x @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
         return h2 @ self.w3 + self.b3
 
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.logits(x))
-
-    def bce_value_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """(mean BCE, d/dx, d/dparams) computed from logits via softplus."""
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
+    def bce_forward(self, anchor: np.ndarray, datas: Sequence[np.ndarray], neg_j: np.ndarray):
+        """(mean BCE, cache) over the B matched tuples (label 1), then their
+        negatives with ``anchor[neg_j]`` swapped in (label 0).  These share
+        data blocks, so the first layer is P_a + P_d and P_a[neg_j] + P_d
+        with P_a = A W1[:n], P_d = [D_1 .. D_{k-1}] W1[n:] + b1."""
+        b = anchor.shape[0]
+        dcat = np.concatenate(datas, axis=1)
+        p_d = dcat @ self.w1[self.n:] + self.b1
+        p_a = anchor @ self.w1[:self.n]
+        # In place: at these sizes a fresh temporary costs more than its math.
+        h1 = np.concatenate([p_a, p_a[neg_j]]).reshape(2, b, -1)
+        h1 += p_d
+        h1 = np.tanh(h1, out=h1).reshape(2 * b, -1)
+        h2 = h1 @ self.w2
+        h2 += self.b2
+        np.tanh(h2, out=h2)
         logit = h2 @ self.w3 + self.b3
+        y = np.repeat([1.0, 0.0], b)
         # softplus(l) - l*y == -[y log p + (1-y) log(1-p)] for p = sigmoid(l)
-        loss = float(np.mean(np.logaddexp(0.0, logit) - logit * y))
-        dlogit = (_sigmoid(logit) - y) / y.shape[0]
-        grads = {
-            "w3": h2.T @ dlogit,
-            "b3": np.asarray(dlogit.sum()),
-        }
-        dh2 = np.outer(dlogit, self.w3) * (1.0 - h2 * h2)
+        softplus = np.logaddexp(0.0, logit)
+        loss = float(np.mean(softplus - logit * y))
+        return loss, (dcat, h1, h2, logit - softplus, y)
+
+    def bce_value_and_grads(
+        self, anchor: np.ndarray, datas: Sequence[np.ndarray], neg_j: np.ndarray, lam: float
+    ):
+        """(mean BCE, d/d anchor, d/d datas as (k-1, B, n), d/d params) for
+        the rows of ``bce_forward``; every gradient is scaled by ``lam``."""
+        loss, (dcat, h1, h2, log_p, y) = self.bce_forward(anchor, datas, neg_j)
+        b, n = anchor.shape
+        dlogit = (lam / y.shape[0]) * (np.exp(log_p) - y)
+        grads = {"w3": h2.T @ dlogit, "b3": np.asarray(dlogit.sum())}
+        dh2 = _tanh_backward(h2, np.outer(dlogit, self.w3))
         grads["w2"] = h1.T @ dh2
         grads["b2"] = dh2.sum(axis=0)
-        dh1 = (dh2 @ self.w2.T) * (1.0 - h1 * h1)
-        grads["w1"] = x.T @ dh1
-        grads["b1"] = dh1.sum(axis=0)
-        dx = dh1 @ self.w1.T
-        return loss, dx, grads
+        dh1 = _tanh_backward(h1, dh2 @ self.w2.T)
+        dp_d = dh1[:b] + dh1[b:]
+        # One-hot fold of each negative row onto the anchor it borrowed
+        # (fold[neg_j[r], r] = 1); a matmul, where np.add.at is far slower.
+        fold = np.zeros((b, b))
+        fold[neg_j, np.arange(b)] = 1.0
+        dp_a = fold @ dh1[b:]
+        dp_a += dh1[:b]
+        grads["w1"] = np.concatenate([anchor.T @ dp_a, dcat.T @ dp_d])
+        grads["b1"] = dp_d.sum(axis=0)
+        grad_datas = (dp_d @ self.w1[n:].T).reshape(b, -1, n).transpose(1, 0, 2)
+        return loss, dp_a @ self.w1[:n].T, grad_datas, grads
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _tanh_backward(h: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``grad * (1 - h**2)`` for ``h = tanh(x)``, written over ``h``."""
+    h *= h
+    h *= grad
+    return np.subtract(grad, h, out=h)
 
 
 def loss_report(
@@ -275,47 +310,30 @@ def loss_report(
     treated as constants of the current batch.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
-    b, n = anchor.shape
-    k = 1 + len(datas)
-
+    b = anchor.shape[0]
     volumes = VolumeBatch(anchor, datas)
     vols = volumes.values
-    l_d2a, l_a2d, dv, g_lt_d2a, g_lt_a2d = _contrastive_parts(vols, tau)
-    grad_log_tau = 0.5 * (g_lt_d2a + g_lt_a2d)
+    z = _volume_logits(vols, tau)
+    l_d2a, l_a2d, dz = contrastive(z)
+    grad_log_tau = -float(np.sum(dz * z))
     # Chain rule through every (i, j) entry: anchor j appears across rows i,
     # data row i appears across columns j.  The kernel sums both directly.
-    grad_anchor, grad_datas = volumes.backward(dv)
+    grad_anchor, grad_datas = volumes.backward(dz * (-1.0 / tau.tau))
 
     l_dam = 0.0
     head_grads = None
     if head is not None and b >= 2:
-        neg_j = _mine_indices(vols)
-        x = np.empty((2 * b, k * n))
-        x[:b, :n] = anchor
-        x[b:, :n] = anchor[neg_j]
-        for off, d in enumerate(datas):
-            sl = slice((1 + off) * n, (2 + off) * n)
-            x[:b, sl] = d
-            x[b:, sl] = d
-        y = np.concatenate([np.ones(b), np.zeros(b)])
-        l_dam, dx, raw_head_grads = head.bce_value_and_grads(x, y)
-        head_grads = {name: lam * g for name, g in raw_head_grads.items()}
-        grad_anchor += lam * dx[:b, :n]
-        np.add.at(grad_anchor, neg_j, lam * dx[b:, :n])
-        for off in range(k - 1):
-            sl = slice((1 + off) * n, (2 + off) * n)
-            grad_datas[off] += lam * (dx[:b, sl] + dx[b:, sl])
+        l_dam, g_anchor, g_datas, head_grads = head.bce_value_and_grads(
+            anchor, datas, _mine_indices(vols), lam
+        )
+        grad_anchor += g_anchor
+        grad_datas += g_datas
 
     l_tot = total_loss((l_d2a, l_a2d), l_dam, lam)
     return LossReport(
-        l_d2a=l_d2a,
-        l_a2d=l_a2d,
-        l_dam=l_dam,
-        l_tot=l_tot,
-        grad_anchor=grad_anchor,
-        grad_datas=grad_datas,
-        grad_log_tau=grad_log_tau,
-        head_grads=head_grads,
+        l_d2a=l_d2a, l_a2d=l_a2d, l_dam=l_dam, l_tot=l_tot,
+        grad_anchor=grad_anchor, grad_datas=grad_datas,
+        grad_log_tau=grad_log_tau, head_grads=head_grads,
         degenerate_tuples=int(volumes.degenerate.sum()),
     )
 

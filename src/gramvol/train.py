@@ -15,20 +15,24 @@ untrained state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .encoders import ToyEncoder
-from .errors import DivergedTrainingError, InvalidConfigError, NonFiniteLossError
+from .errors import (
+    DivergedTrainingError,
+    InvalidConfigError,
+    NonFiniteLossError,
+    ZeroVectorError,
+)
 from .losses import (
     DamHead,
     LossReport,
     Temperature,
-    _log_softmax_rows,
     _mine_indices,
-    _softmax_rows,
+    contrastive,
     gram_contrastive_loss,
     loss_report,
     total_loss,
@@ -131,25 +135,20 @@ def cosine_pairwise_report(
     treat both objectives uniformly.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
-    b, n = anchor.shape
     nmod = len(datas)
     t = tau.tau
-    eye = np.eye(b)
     l_d2a = l_a2d = grad_log_tau = 0.0
-    grad_anchor = np.zeros((b, n))
-    grad_datas = np.zeros((nmod, b, n))
+    grad_anchor = np.zeros_like(anchor)
+    grad_datas = np.empty((nmod,) + anchor.shape)
     for off, d in enumerate(datas):
         z = (d @ anchor.T) / t
-        l_m2a = float(-np.mean(np.diag(_log_softmax_rows(z))))
-        l_a2m = float(-np.mean(np.diag(_log_softmax_rows(z.T))))
+        l_m2a, l_a2m, dz = contrastive(z)
         l_d2a += l_m2a / nmod
         l_a2d += l_a2m / nmod
-        dz_m2a = -(eye - _softmax_rows(z)) / b
-        dz_a2m = -(eye - _softmax_rows(z.T)).T / b
-        dz = 0.5 * (dz_m2a + dz_a2m) / nmod
-        grad_log_tau += float(-np.sum(dz * z))
-        grad_datas[off] = (dz @ anchor) / t
-        grad_anchor += (dz.T @ d) / t
+        grad_log_tau -= float(np.sum(dz * z)) / nmod
+        dz /= nmod * t
+        np.matmul(dz, anchor, out=grad_datas[off])
+        grad_anchor += dz.T @ d
     l_tot = total_loss((l_d2a, l_a2d), 0.0)
     return LossReport(
         l_d2a=l_d2a, l_a2d=l_a2d, l_dam=0.0, l_tot=l_tot,
@@ -190,34 +189,17 @@ def evaluate(
         mismatched = float("nan")
     r1 = retrieval_recall(vols, ks=(1,), ascending=True)[1]
 
+    l_dam = 0.0
     if loss_kind == "cosine":
-        rep = cosine_pairwise_report(embeds[0], embeds[1:], tau)
-        l_d2a, l_a2d, l_dam = rep.l_d2a, rep.l_a2d, 0.0
+        # The losses of cosine_pairwise_report, without its gradients.
+        parts = [contrastive((d @ embeds[0].T) / tau.tau, grad=False) for d in embeds[1:]]
+        l_d2a = sum(p[0] / len(parts) for p in parts)
+        l_a2d = sum(p[1] / len(parts) for p in parts)
     else:
         l_d2a, l_a2d = gram_contrastive_loss(vols, tau)
-        l_dam = 0.0
         if head is not None and nsel >= 2:
-            neg_j = _mine_indices(vols)
-            k, n = len(embeds), embeds[0].shape[1]
-            x = np.empty((2 * nsel, k * n))
-            x[:nsel, :n] = embeds[0]
-            x[nsel:, :n] = embeds[0][neg_j]
-            for off in range(1, k):
-                sl = slice(off * n, (off + 1) * n)
-                x[:nsel, sl] = embeds[off]
-                x[nsel:, sl] = embeds[off]
-            y = np.concatenate([np.ones(nsel), np.zeros(nsel)])
-            logits = head.logits(x)
-            l_dam = float(np.mean(np.logaddexp(0.0, logits) - logits * y))
+            l_dam = head.bce_forward(embeds[0], embeds[1:], _mine_indices(vols))[0]
     return EvalStats(matched, mismatched, r1, l_d2a, l_a2d, l_dam)
-
-
-def _trace_row(epoch: int, stats: EvalStats) -> TraceRow:
-    return TraceRow(
-        epoch=epoch, l_d2a=stats.l_d2a, l_a2d=stats.l_a2d, l_dam=stats.l_dam,
-        matched_vol=stats.matched_vol, mismatched_vol=stats.mismatched_vol,
-        r_at_1=stats.r_at_1,
-    )
 
 
 def train(
@@ -229,7 +211,7 @@ def train(
     """Minibatch training on the configured objective.
 
     Raises ``DivergedTrainingError`` (carrying the partial trace) if any
-    loss value stops being finite.
+    loss value stops being finite or an encoder produces a zero embedding.
     """
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
@@ -265,54 +247,49 @@ def train(
     def current_tau() -> Temperature:
         return Temperature(log_tau=float(params["log_tau"]))
 
-    trace = TrainingTrace()
-    trace.rows.append(_trace_row(0, evaluate(
-        encoders, held_ds, current_tau(), head,
-        config.eval_max_samples, config.loss,
-    )))
+    def record(epoch: int) -> None:
+        stats = evaluate(encoders, held_ds, current_tau(), head,
+                         config.eval_max_samples, config.loss)
+        trace.rows.append(TraceRow(epoch=epoch, **asdict(stats)))
 
+    trace = TrainingTrace()
+    epoch = 0
     n_train = train_ds.num_samples
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
-            bidx = perm[start:start + config.batch_size]
-            embeds, caches = [], []
-            for enc, view in zip(encoders, train_ds.views):
-                e, cache = enc.encode_cached(view[bidx])
-                embeds.append(e)
-                caches.append(cache)
-            tau = current_tau()
-            try:
+    try:
+        record(0)
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(n_train)
+            for start in range(0, n_train, config.batch_size):
+                bidx = perm[start:start + config.batch_size]
+                embeds, caches = zip(*(
+                    enc.encode_cached(view[bidx]) for enc, view in zip(encoders, train_ds.views)
+                ))
+                tau = current_tau()
                 if config.loss == "gram":
                     report = loss_report(embeds[0], embeds[1:], tau, head, config.lam)
                 else:
                     report = cosine_pairwise_report(embeds[0], embeds[1:], tau)
-            except NonFiniteLossError as exc:
-                raise DivergedTrainingError(
-                    f"loss became non-finite at epoch {epoch}: {exc}", trace=trace
-                ) from exc
-            if not math.isfinite(report.l_tot):
-                raise DivergedTrainingError(
-                    f"loss became non-finite at epoch {epoch}", trace=trace
-                )
+                if not math.isfinite(report.l_tot):
+                    raise NonFiniteLossError("the total loss is not finite")
 
-            grads: dict[str, np.ndarray] = {}
-            for mi, enc in enumerate(encoders):
-                grad_e = report.grad_anchor if mi == 0 else report.grad_datas[mi - 1]
-                for name, g in enc.backward(caches[mi], grad_e).items():
-                    grads[f"enc{mi}.{name}"] = g
-            if report.head_grads is not None:
-                for name, g in report.head_grads.items():
-                    grads[f"head.{name}"] = g
-            grads["log_tau"] = np.array(report.grad_log_tau)
+                grads: dict[str, np.ndarray] = {}
+                for mi, enc in enumerate(encoders):
+                    grad_e = report.grad_anchor if mi == 0 else report.grad_datas[mi - 1]
+                    for name, g in enc.backward(caches[mi], grad_e).items():
+                        grads[f"enc{mi}.{name}"] = g
+                if report.head_grads is not None:
+                    for name, g in report.head_grads.items():
+                        grads[f"head.{name}"] = g
+                grads["log_tau"] = np.array(report.grad_log_tau)
 
-            adam_step(params, grads, state, hyper)
-            params["log_tau"][()] = current_tau().clamped().log_tau
-
-        trace.rows.append(_trace_row(epoch, evaluate(
-            encoders, held_ds, current_tau(), head,
-            config.eval_max_samples, config.loss,
-        )))
+                adam_step(params, grads, state, hyper)
+                params["log_tau"][()] = current_tau().clamped().log_tau
+            record(epoch)
+    except (NonFiniteLossError, ZeroVectorError) as exc:
+        # A collapsed encoder (zero embedding) is divergence too.
+        raise DivergedTrainingError(
+            f"training diverged at epoch {epoch}: {exc}", trace=trace
+        ) from exc
 
     return TrainResult(
         trace=trace, encoders=encoders, head=head,

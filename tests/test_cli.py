@@ -225,6 +225,30 @@ class TestTrainCommand:
             blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
         assert blobs[0] == blobs[1]
 
+    def test_cosine_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # At 128 x 128 the logit matrices pass OpenBLAS's 10,000-element
+        # threading split of a single dot product, so a reduction that
+        # went through one would change bits with the thread count.  Adam
+        # absorbs many one-ulp gradient changes; at this seed, a flattened
+        # np.vdot for the temperature gradient does change the outputs.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
+            "noise_sigma = 0.05\nsamples = 512\nbatch_size = 128\nepochs = 2\n"
+            "seed = 4\neval_max_samples = 128\nloss = cosine\n"
+        )
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
+        assert blobs[0] == blobs[1]
+
     def test_matched_volume_improves(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(self.CONFIG.replace("epochs = 2", "epochs = 4"))
@@ -266,6 +290,55 @@ class TestTrainCommand:
         assert result.exit_code == 6
         # the partial trace is still written
         assert (out / "trace.csv").exists()
+
+    def test_collapsed_encoder_exit_6_with_partial_trace(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+        from gramvol.encoders import ToyEncoder
+        from gramvol.errors import ZeroVectorError
+
+        real = ToyEncoder.encode_cached
+        calls = []
+
+        def collapse_mid_run(self, x):
+            calls.append(1)
+            # Three calls evaluate epoch 0; the tenth is inside epoch 1.
+            if len(calls) == 10:
+                raise ZeroVectorError("encoder produced a zero embedding")
+            return real(self, x)
+
+        monkeypatch.setattr(ToyEncoder, "encode_cached", collapse_mid_run)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 6, result.output
+        assert "zero embedding" in result.stderr
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("0,")
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("exc_name, code", [
+        ("InvalidConfigError", 5), ("InconsistentBatchError", 2), ("BatchTooSmallError", 1),
+    ])
+    def test_library_error_maps_to_exit_code(self, tmp_path, monkeypatch, exc_name, code):
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+        import gramvol.errors as errors
+
+        def fail(*args, **kwargs):
+            raise getattr(errors, exc_name)("boom")
+
+        monkeypatch.setattr(cli_mod, "run_training", fail)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG)
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(tmp_path / "run"), "train", str(cfg)])
+        assert result.exit_code == code
+        # a one-line message, not a traceback
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: boom\n"
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = tmp_path / "train.cfg"

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import gramvol as gv
 from gramvol.errors import BatchTooSmallError, EmptyInputError, NonFiniteLossError
-from gramvol.losses import DamHead, Temperature, loss_report
+from gramvol.losses import (
+    TAU_MIN,
+    DamHead,
+    Temperature,
+    _contrastive_parts,
+    contrastive,
+    loss_report,
+)
+from gramvol.train import cosine_pairwise_report
 
 from conftest import (
     contrastive_loss_value as contrastive_value,
@@ -282,3 +290,83 @@ class TestFullReport:
         rep = loss_report(anchor, datas, TAU_ONE)
         assert rep.degenerate_tuples == 4
         np.testing.assert_array_equal(rep.grad_anchor, 0.0)
+
+
+def assembled_head_grads(head, anchor, datas, neg_j, lam):
+    """Reference head BCE gradients on the explicit (2B, k*n) input, with the
+    negatives' anchor gradients scattered back by ``np.add.at``."""
+    b, n = anchor.shape
+    x = np.concatenate([np.hstack([anchor] + datas), np.hstack([anchor[neg_j]] + datas)])
+    y = np.repeat([1.0, 0.0], b)
+    h1 = np.tanh(x @ head.w1 + head.b1)
+    h2 = np.tanh(h1 @ head.w2 + head.b2)
+    logit = h2 @ head.w3 + head.b3
+    dlogit = lam * (1.0 / (1.0 + np.exp(-logit)) - y) / (2 * b)
+    dh2 = np.outer(dlogit, head.w3) * (1.0 - h2 * h2)
+    dh1 = (dh2 @ head.w2.T) * (1.0 - h1 * h1)
+    dx = dh1 @ head.w1.T
+    grad_anchor = dx[:b, :n].copy()
+    np.add.at(grad_anchor, neg_j, dx[b:, :n])
+    grad_datas = (dx[:b, n:] + dx[b:, n:]).reshape(b, len(datas), n).transpose(1, 0, 2)
+    params = {"w1": x.T @ dh1, "b1": dh1.sum(axis=0), "w2": h1.T @ dh2,
+              "b2": dh2.sum(axis=0), "w3": h2.T @ dlogit, "b3": dlogit.sum()}
+    return x, logit, grad_anchor, grad_datas, params
+
+
+class TestContrastiveCore:
+    def test_forward_only_losses_equal_gradient_path(self, rng):
+        b, n = 6, 8
+        tau = Temperature.from_tau(0.3)
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(2)]
+        head = DamHead(3, n, rng)
+        rep = loss_report(anchor, datas, tau, head)
+        vols = gv.cross_volumes(anchor, datas)
+        assert gv.gram_contrastive_loss(vols, tau) == (rep.l_d2a, rep.l_a2d)
+        l_rows, l_cols, dz = contrastive(-vols / tau.tau, grad=False)
+        assert (l_rows, l_cols, dz) == (rep.l_d2a, rep.l_a2d, None)
+        neg_j = np.argmin(np.where(np.eye(b, dtype=bool), np.inf, vols), axis=1)
+        assert head.bce_forward(anchor, datas, neg_j)[0] == rep.l_dam
+
+    def test_head_rows_match_assembled_input(self, rng):
+        b, n, lam = 7, 5, 0.3
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(2)]
+        head = DamHead(3, n, rng)
+        # Repeated negatives: several rows fold onto one anchor.
+        neg_j = np.array([1, 0, 0, 0, 6, 6, 2])
+        x, logit, ref_anchor, ref_datas, ref_params = assembled_head_grads(
+            head, anchor, datas, neg_j, lam
+        )
+        loss, cache = head.bce_forward(anchor, datas, neg_j)
+        log_p = cache[3]
+        np.testing.assert_allclose(head.logits(x), logit, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_p, -np.logaddexp(0.0, -logit), rtol=0, atol=1e-12)
+        y = np.repeat([1.0, 0.0], b)
+        assert abs(loss - np.mean(np.logaddexp(0.0, logit) - logit * y)) <= 1e-12
+
+        loss2, g_anchor, g_datas, g_params = head.bce_value_and_grads(anchor, datas, neg_j, lam)
+        assert loss2 == loss
+        np.testing.assert_allclose(g_anchor, ref_anchor, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_datas, ref_datas, rtol=0, atol=1e-12)
+        for name, ref in ref_params.items():
+            np.testing.assert_allclose(g_params[name], ref, rtol=0, atol=1e-12)
+
+    def test_finite_at_minimum_temperature(self, rng):
+        # z = -V / 1e-3 spans [-1000, 0]: exp underflows, never overflows.
+        b = 64
+        tau = Temperature.from_tau(TAU_MIN)
+        v = rng.uniform(0.0, 1.0, size=(b, b))
+        v[0, 0], v[0, 1] = 0.0, 1.0
+        l_d2a, l_a2d, dv, g_d2a, g_a2d = _contrastive_parts(v, tau)
+        assert np.isfinite([l_d2a, l_a2d, g_d2a, g_a2d]).all()
+        assert np.isfinite(dv).all()
+        assert gv.gram_contrastive_loss(v, tau) == (l_d2a, l_a2d)
+
+        anchor = unit_rows(rng, b, 8)
+        datas = [unit_rows(rng, b, 8) for _ in range(2)]
+        for rep in (loss_report(anchor, datas, tau, DamHead(3, 8, rng)),
+                    cosine_pairwise_report(anchor, datas, tau)):
+            assert np.isfinite([rep.l_d2a, rep.l_a2d, rep.l_dam, rep.grad_log_tau]).all()
+            assert np.isfinite(rep.grad_anchor).all()
+            assert np.isfinite(rep.grad_datas).all()

@@ -97,6 +97,22 @@ class TestCosineReport:
         ) / (2 * h)
         assert rel_err(rep.grad_log_tau, fd_tau).max() < 1e-5
 
+    def test_data_gradients_match_finite_differences(self, rng):
+        tau = Temperature.from_tau(0.5)
+        anchor = unit_rows(rng, 4, 6)
+        datas = [unit_rows(rng, 4, 6) for _ in range(2)]
+        rep = cosine_pairwise_report(anchor, datas, tau)
+        for m in range(2):
+            def value(d):
+                ds = list(datas)
+                ds[m] = d
+                r = cosine_pairwise_report(anchor, ds, tau)
+                return 0.5 * (r.l_d2a + r.l_a2d)
+
+            fd = central_diff(value, datas[m].copy())
+            mask = np.abs(fd) > 1e-8
+            assert rel_err(rep.grad_datas[m][mask], fd[mask]).max() < 1e-5
+
 
 def tiny_spec(seed=0, **kw):
     defaults = dict(latent_dim=6, embed_dim=16, modalities=3, num_classes=2,
@@ -182,3 +198,19 @@ class TestTrainLoop:
         ds = gv.generate_dataset(tiny_spec())
         res = gv.train(tiny_config(epochs=1, lr=5.0), ds, embed_dim=16)
         assert 1e-3 - 1e-12 <= res.tau.tau <= 10.0 + 1e-12
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
+    def test_losses_equal_training_report_bit_for_bit(self, rng, loss_kind):
+        ds = gv.generate_dataset(tiny_spec(samples=40))
+        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        head = gv.DamHead(3, 16, rng) if loss_kind == "gram" else None
+        tau = Temperature.from_tau(0.2)
+        stats = gv.evaluate(encoders, ds, tau, head, max_samples=32, loss_kind=loss_kind)
+        embeds = [enc.encode(v[:32]) for enc, v in zip(encoders, ds.views)]
+        if loss_kind == "gram":
+            rep = gv.loss_report(embeds[0], embeds[1:], tau, head)
+        else:
+            rep = cosine_pairwise_report(embeds[0], embeds[1:], tau)
+        assert (stats.l_d2a, stats.l_a2d, stats.l_dam) == (rep.l_d2a, rep.l_a2d, rep.l_dam)
