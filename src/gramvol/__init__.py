@@ -5,10 +5,7 @@ from .encoders import ToyEncoder
 from .losses import (
     DamHead,
     LossReport,
-    MatchLabel,
     Temperature,
-    contrastive_grad,
-    dam_loss,
     gram_contrastive_loss,
     hard_negative_mine,
     loss_report,
@@ -16,20 +13,14 @@ from .losses import (
 )
 from .metrics import (
     AlignmentScore,
-    RetrievalReport,
     alignment_metric,
     pearson,
-    report_as_csv,
-    report_as_json,
     retrieval_recall,
-    retrieval_report,
 )
 from .optim import AdamHyper, AdamState, adam_step
 from .similarity import (
-    CrossVolumeMatrix,
     ModalityBatch,
     MultimodalBatch,
-    cosine_matrix,
     cross_volume_matrix,
     cross_volumes,
 )
@@ -47,10 +38,8 @@ from .train import (
 from .volume import (
     Volume,
     VolumeGradient,
-    gram_matrix,
     gramian_volume,
     normalize,
-    psd_det,
     volume_gradient,
 )
 
@@ -60,15 +49,12 @@ __all__ = [
     "AdamHyper",
     "AdamState",
     "AlignmentScore",
-    "CrossVolumeMatrix",
     "DamHead",
     "EvalStats",
     "LossReport",
-    "MatchLabel",
     "ModalityBatch",
     "MultimodalBatch",
     "MultimodalDataset",
-    "RetrievalReport",
     "SyntheticSpec",
     "Temperature",
     "ToyEncoder",
@@ -80,27 +66,19 @@ __all__ = [
     "VolumeGradient",
     "adam_step",
     "alignment_metric",
-    "contrastive_grad",
-    "cosine_matrix",
     "cosine_pairwise_report",
     "cross_volume_matrix",
     "cross_volumes",
-    "dam_loss",
     "errors",
     "evaluate",
     "generate_dataset",
     "gram_contrastive_loss",
-    "gram_matrix",
     "gramian_volume",
     "hard_negative_mine",
     "loss_report",
     "normalize",
     "pearson",
-    "report_as_csv",
-    "report_as_json",
-    "psd_det",
     "retrieval_recall",
-    "retrieval_report",
     "split_dataset",
     "total_loss",
     "train",

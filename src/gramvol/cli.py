@@ -2,7 +2,12 @@
 
 Commands exchange data through line-delimited JSON embedding files (one
 modality per file) and write matrices/traces as CSV.  Diagnostics go to
-stderr; stdout carries data only.  Exit codes are stable:
+stderr; stdout carries data only.  ``eval`` and ``metric`` print one JSON
+line; their --out file holds that line, or a header line and a value line
+of CSV when the path ends in ``.csv``.  With --no-normalize, ``volume``
+takes any finite vectors as they are, while ``simmat``, ``eval`` and
+``metric`` still need unit rows and exit 2 ("row off unit norm") on a row
+more than 1e-10 off.  Exit codes are stable:
 
     0  success
     2  embedding file parse/data error (message carries the line number),
@@ -51,7 +56,7 @@ from .formats import (
     write_trace_csv,
 )
 from .metrics import alignment_metric, retrieval_recall
-from .similarity import CrossVolumeMatrix, ModalityBatch, MultimodalBatch, cross_volume_matrix
+from .similarity import ModalityBatch, MultimodalBatch, cross_volume_matrix
 from .synth import generate_dataset
 from .train import train as run_training
 from .volume import VolumeBatch, normalize
@@ -174,8 +179,19 @@ def _gather(files, ids):
     return out
 
 
-def _assemble_anchor_view(files, anchor_name):
-    """(row ids, anchor matrix, data matrices) with anchor pulled out.
+def _batch(files, ids) -> MultimodalBatch:
+    """The validated batch of the files' rows for ``ids``; the first file is
+    the anchor.  Rows must be unit norm, so under --no-normalize a row more
+    than 1e-10 off unit norm is a data error."""
+    anchor, *datas = (
+        ModalityBatch(rows=rows, modality_name=name)
+        for (name, _, _), rows in zip(files, _gather(files, ids))
+    )
+    return MultimodalBatch(anchor=anchor, datas=tuple(datas))
+
+
+def _anchor_batch(files, anchor_name):
+    """(row ids, validated batch) with the named anchor modality first.
 
     Row order follows the first data modality's file order; the same ids
     index the columns, so matched tuples sit on the diagonal.
@@ -193,20 +209,7 @@ def _assemble_anchor_view(files, anchor_name):
     anchor = files[names.index(anchor_name)]
     datas = [f for f in files if f[0] != anchor_name]
     ids = list(datas[0][1])
-    anchor_rows = np.array([_lookup(anchor[2], i, anchor[0]) for i in ids])
-    data_rows = _gather(datas, ids)
-    return ids, anchor_rows, data_rows, [f[0] for f in datas]
-
-
-def _volume_batch(ids, anchor_rows, data_rows, anchor_name, data_names) -> CrossVolumeMatrix:
-    batch = MultimodalBatch(
-        anchor=ModalityBatch(rows=anchor_rows, modality_name=anchor_name),
-        datas=tuple(
-            ModalityBatch(rows=rows, modality_name=name)
-            for rows, name in zip(data_rows, data_names)
-        ),
-    )
-    return cross_volume_matrix(batch)
+    return ids, _batch([anchor, *datas], ids)
 
 
 @main.command("volume")
@@ -245,8 +248,8 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     """Write the B x B cross-volume matrix as CSV with id headers."""
     try:
         files = _load_files(paths, opts.normalize)
-        ids, anchor_rows, data_rows, data_names = _assemble_anchor_view(files, anchor_name)
-        matrix = _volume_batch(ids, anchor_rows, data_rows, anchor_name, data_names)
+        ids, batch = _anchor_batch(files, anchor_name)
+        values = cross_volume_matrix(batch).values
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return
@@ -254,7 +257,7 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id"] + ids)
     for i, rec_id in enumerate(ids):
-        writer.writerow([rec_id] + [f"{v:.12g}" for v in matrix.values[i]])
+        writer.writerow([rec_id] + [f"{v:.12g}" for v in values[i]])
     out_path = opts.out if opts.out is not None else Path("simmat.csv")
     _write_output(out_path, buf.getvalue())
     click.echo(f"wrote {out_path}", err=True)
@@ -316,9 +319,8 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
         return
     try:
         files = _load_files(paths, opts.normalize)
-        ids, anchor_rows, data_rows, data_names = _assemble_anchor_view(files, anchor_name)
-        matrix = _volume_batch(ids, anchor_rows, data_rows, anchor_name, data_names)
-        recalls = retrieval_recall(matrix, ks=k_values, ascending=True)
+        ids, batch = _anchor_batch(files, anchor_name)
+        recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return
@@ -338,15 +340,7 @@ def cmd_metric(opts: CliOptions, paths):
     try:
         files = _load_files(paths, opts.normalize)
         ids = list(files[0][1])
-        mats = _gather(files, ids)
-        batch = MultimodalBatch(
-            anchor=ModalityBatch(rows=mats[0], modality_name=files[0][0]),
-            datas=tuple(
-                ModalityBatch(rows=m, modality_name=f[0])
-                for m, f in zip(mats[1:], files[1:])
-            ),
-        )
-        score = alignment_metric(batch)
+        score = alignment_metric(_batch(files, ids))
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return

@@ -29,11 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmallError,
-    EmptyInputError,
-    NonFiniteLossError,
-)
+from .errors import BatchTooSmallError, NonFiniteLossError
 from .volume import VolumeBatch
 
 TAU_MIN = 1e-3
@@ -68,20 +64,6 @@ class Temperature:
         return Temperature(log_tau=min(max(self.log_tau, lo), hi))
 
 
-@dataclass(frozen=True)
-class MatchLabel:
-    """A binary match label with a strictly-interior sigmoid probability."""
-
-    y: int
-    p_dam: float
-
-    def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y!r}")
-        if not (0.0 < self.p_dam < 1.0):
-            raise ValueError(f"probability must lie strictly in (0, 1), got {self.p_dam!r}")
-
-
 @dataclass
 class LossReport:
     """Loss values plus gradients for one batch.
@@ -102,11 +84,6 @@ class LossReport:
     grad_log_tau: float
     head_grads: dict[str, np.ndarray] | None = None
     degenerate_tuples: int = 0
-
-
-def _volume_values(volumes) -> np.ndarray:
-    values = getattr(volumes, "values", volumes)
-    return np.asarray(values, dtype=np.float64)
 
 
 def _direction(z: np.ndarray, axis: int, grad: bool):
@@ -147,15 +124,13 @@ def _volume_logits(v: np.ndarray, tau: Temperature) -> np.ndarray:
     return -v / tau.tau
 
 
-def gram_contrastive_loss(volumes, tau: Temperature) -> tuple[float, float]:
-    """Two-direction contrastive loss over a cross-volume matrix.
+def gram_contrastive_loss(volumes: np.ndarray, tau: Temperature) -> tuple[float, float]:
+    """Two-direction contrastive loss over a B x B cross-volume array.
 
     Returns ``(l_d2a, l_a2d)``: row-wise and column-wise softmax cross
     entropy of ``-volumes / tau`` with the diagonal as the positive.
     """
-    l_d2a, l_a2d, _ = contrastive(
-        _volume_logits(_volume_values(volumes), tau), grad=False
-    )
+    l_d2a, l_a2d, _ = contrastive(_volume_logits(volumes, tau), grad=False)
     return l_d2a, l_a2d
 
 
@@ -165,50 +140,18 @@ def total_loss(contrastive: tuple[float, float], dam: float, lam: float = LAMBDA
     return 0.5 * (l_d2a + l_a2d) + lam * dam
 
 
-def dam_loss(preds: Sequence[MatchLabel]) -> float:
-    """Mean binary cross entropy over match predictions."""
-    if len(preds) == 0:
-        raise EmptyInputError("need at least one match prediction")
-    total = 0.0
-    for pred in preds:
-        total += pred.y * math.log(pred.p_dam) + (1 - pred.y) * math.log(1.0 - pred.p_dam)
-    return -total / len(preds)
+def hard_negative_mine(volumes: np.ndarray) -> np.ndarray:
+    """Most confusable in-batch negative per sample.
 
-
-def _mine_indices(values: np.ndarray) -> np.ndarray:
-    masked = values.copy()
+    Entry i is the off-diagonal column j of row i with the smallest
+    volume; ties go to the lowest index.
+    """
+    if volumes.shape[0] < 2:
+        raise BatchTooSmallError("hard negative mining needs a batch of at least 2")
+    masked = volumes.copy()
     np.fill_diagonal(masked, np.inf)
     # argmin returns the first minimum, which is the lowest-index tie-break.
     return np.argmin(masked, axis=1)
-
-
-def hard_negative_mine(volumes) -> list[tuple[int, int]]:
-    """Most confusable in-batch negative per sample.
-
-    For each row i, the off-diagonal column j with the smallest volume;
-    ties go to the lowest index.
-    """
-    v = _volume_values(volumes)
-    if v.shape[0] < 2:
-        raise BatchTooSmallError("hard negative mining needs a batch of at least 2")
-    idx = _mine_indices(v)
-    return [(i, int(j)) for i, j in enumerate(idx)]
-
-
-def _contrastive_parts(v: np.ndarray, tau: Temperature):
-    """Losses, d(loss)/d(volumes), and d(loss)/d(log tau) per direction.
-
-    The per-direction halves of ``contrastive``.  Since dz/d(log tau) = -z,
-    each temperature gradient is -sum(dL/dz * z).
-    """
-    z = _volume_logits(v, tau)
-    b = z.shape[0]
-    l_d2a, dz_d2a = _direction(z, 1, True)
-    l_a2d, dz_a2d = _direction(z, 0, True)
-    g_logtau_d2a = -float(np.sum(dz_d2a * z)) / b
-    g_logtau_a2d = -float(np.sum(dz_a2d * z)) / b
-    dv_total = (dz_d2a + dz_a2d) * (-0.5 / (b * tau.tau))
-    return l_d2a, l_a2d, dv_total, g_logtau_d2a, g_logtau_a2d
 
 
 class DamHead:
@@ -324,7 +267,7 @@ def loss_report(
     head_grads = None
     if head is not None and b >= 2:
         l_dam, g_anchor, g_datas, head_grads = head.bce_value_and_grads(
-            anchor, datas, _mine_indices(vols), lam
+            anchor, datas, hard_negative_mine(vols), lam
         )
         grad_anchor += g_anchor
         grad_datas += g_datas
@@ -335,11 +278,4 @@ def loss_report(
         grad_anchor=grad_anchor, grad_datas=grad_datas,
         grad_log_tau=grad_log_tau, head_grads=head_grads,
         degenerate_tuples=int(volumes.degenerate.sum()),
-    )
-
-
-def contrastive_grad(batch, tau: Temperature) -> LossReport:
-    """Contrastive-only report for a validated multimodal batch."""
-    return loss_report(
-        batch.anchor.rows, [m.rows for m in batch.datas], tau, head=None
     )

@@ -27,14 +27,6 @@ DEFAULT_KS = (1, 5, 10)
 
 
 @dataclass(frozen=True)
-class RetrievalReport:
-    r_at_1: float
-    r_at_5: float
-    r_at_10: float
-    direction: str = "data_to_anchor"
-
-
-@dataclass(frozen=True)
 class AlignmentScore:
     """Mean matched-tuple volume; lower means better aligned.
 
@@ -58,7 +50,7 @@ def _diagonal_ranks(values: np.ndarray, ascending: bool) -> np.ndarray:
 
 
 def retrieval_recall(
-    values,
+    values: np.ndarray,
     ks: Sequence[int] = DEFAULT_KS,
     ascending: bool = True,
 ) -> dict[int, float]:
@@ -67,21 +59,8 @@ def retrieval_recall(
     The correct match for row i is column i.  ``ascending=True`` treats
     smaller values as more similar (volumes); pass False for cosines.
     """
-    values = np.asarray(getattr(values, "values", values), dtype=np.float64)
     ranks = _diagonal_ranks(values, ascending)
     return {int(k): float(np.mean(ranks <= k)) for k in ks}
-
-
-def retrieval_report(
-    values,
-    direction: str = "data_to_anchor",
-    ascending: bool = True,
-) -> RetrievalReport:
-    recalls = retrieval_recall(values, DEFAULT_KS, ascending)
-    return RetrievalReport(
-        r_at_1=recalls[1], r_at_5=recalls[5], r_at_10=recalls[10],
-        direction=direction,
-    )
 
 
 def alignment_metric(batch: MultimodalBatch) -> AlignmentScore:
@@ -89,26 +68,6 @@ def alignment_metric(batch: MultimodalBatch) -> AlignmentScore:
     volumes = VolumeBatch(batch.anchor.rows, [m.rows for m in batch.datas], paired=True)
     mean = float(np.mean(volumes.values))
     return AlignmentScore(mean_matched_volume=mean, one_minus_gram=1.0 - mean)
-
-
-def report_as_json(report) -> str:
-    """One-line JSON rendering of a report dataclass, for scripting."""
-    import dataclasses
-    import json
-
-    return json.dumps(dataclasses.asdict(report))
-
-
-def report_as_csv(report) -> str:
-    """Two-line CSV rendering (header plus values) of a report dataclass."""
-    import dataclasses
-
-    items = dataclasses.asdict(report)
-    header = ",".join(items)
-    values = ",".join(
-        v if isinstance(v, str) else repr(v) for v in items.values()
-    )
-    return f"{header}\n{values}\n"
 
 
 def pearson(xs, ys) -> float:

@@ -1,4 +1,4 @@
-"""Batched similarity surfaces: cross-volume and cosine matrices.
+"""Validated multimodal batches and their cross-volume matrix.
 
 A ``MultimodalBatch`` holds one anchor modality and k-1 data modalities
 whose rows are index-aligned samples.  ``cross_volume_matrix`` fills a
@@ -78,29 +78,6 @@ class MultimodalBatch:
                     f"anchor is ({b}, {n})"
                 )
 
-    @property
-    def k(self) -> int:
-        return 1 + len(self.datas)
-
-    @property
-    def batch_size(self) -> int:
-        return self.anchor.batch_size
-
-    @property
-    def dim(self) -> int:
-        return self.anchor.dim
-
-
-@dataclass(frozen=True)
-class CrossVolumeMatrix:
-    """B x B volumes; ``values[i, j]`` mixes data rows i with anchor row j.
-
-    Row i (anchor index varying) feeds the data-to-anchor loss direction;
-    the transpose feeds anchor-to-data.
-    """
-
-    values: np.ndarray
-
 
 def cross_volumes(anchor: np.ndarray, datas: Sequence[np.ndarray]) -> np.ndarray:
     """Array-level cross-volume computation, no batch validation.
@@ -110,20 +87,10 @@ def cross_volumes(anchor: np.ndarray, datas: Sequence[np.ndarray]) -> np.ndarray
     return VolumeBatch(anchor, datas).values
 
 
-def cross_volume_matrix(batch: MultimodalBatch) -> CrossVolumeMatrix:
-    """Cross-volume matrix for a validated multimodal batch."""
-    values = cross_volumes(batch.anchor.rows, [m.rows for m in batch.datas])
-    return CrossVolumeMatrix(values=values)
+def cross_volume_matrix(batch: MultimodalBatch) -> VolumeBatch:
+    """Cross-volume matrix for a validated multimodal batch.
 
-
-def cosine_matrix(a: ModalityBatch, b: ModalityBatch) -> np.ndarray:
-    """Pairwise inner products; entry (i, j) is <a_i, b_j>.
-
-    Rows are unit-norm by batch invariant, so this is the cosine of the
-    angle between the embeddings.
+    ``.values[i, j]`` mixes data rows i with anchor row j: row i feeds the
+    data-to-anchor loss direction, the transpose anchor-to-data.
     """
-    if a.batch_size != b.batch_size or a.dim != b.dim:
-        raise InconsistentBatchError(
-            f"batches are ({a.batch_size}, {a.dim}) and ({b.batch_size}, {b.dim})"
-        )
-    return a.rows @ b.rows.T
+    return VolumeBatch(batch.anchor.rows, [m.rows for m in batch.datas])

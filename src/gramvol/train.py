@@ -31,9 +31,9 @@ from .losses import (
     DamHead,
     LossReport,
     Temperature,
-    _mine_indices,
     contrastive,
     gram_contrastive_loss,
+    hard_negative_mine,
     loss_report,
     total_loss,
 )
@@ -198,7 +198,7 @@ def evaluate(
     else:
         l_d2a, l_a2d = gram_contrastive_loss(vols, tau)
         if head is not None and nsel >= 2:
-            l_dam = head.bce_forward(embeds[0], embeds[1:], _mine_indices(vols))[0]
+            l_dam = head.bce_forward(embeds[0], embeds[1:], hard_negative_mine(vols))[0]
     return EvalStats(matched, mismatched, r1, l_d2a, l_a2d, l_dam)
 
 

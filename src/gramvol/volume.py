@@ -1,4 +1,4 @@
-"""Gram matrices, parallelotope volumes, and their gradients.
+"""Parallelotope volumes from Gram determinants, and their gradients.
 
 Given vectors v_1..v_k in R^n, the Gram matrix G holds all pairwise inner
 products and sqrt(det G) is the k-dimensional volume of the parallelotope
@@ -28,12 +28,6 @@ enough that OpenBLAS runs each call on one thread.  The backward pass
 contracts over the B x B grid with GEMMs, which OpenBLAS splits across
 output rows and columns but never across the summed dimension.  So results
 are the same bytes at any BLAS thread count.
-
-``psd_det``, the determinant of a given PSD matrix, keeps a diagonally
-pivoted Cholesky factorization with the tolerance k * eps * (largest
-diagonal entry).  If roundoff makes
-the matrix indefinite, it falls back to the eigenvalue product with
-negative eigenvalues clamped to 0.
 """
 
 from __future__ import annotations
@@ -106,17 +100,6 @@ def _require_finite(rows: np.ndarray) -> None:
         raise NonFiniteInputError("input contains NaN or Inf")
 
 
-def _mirror_upper(g: np.ndarray) -> None:
-    """Copy the upper triangle onto the lower one, in place.
-
-    Guarantees exact (bitwise) symmetry: each off-diagonal inner product is
-    computed once and mirrored.
-    """
-    k = g.shape[0]
-    for i in range(1, k):
-        g[i, :i] = g[:i, i]
-
-
 def normalize(v) -> np.ndarray:
     """Scale ``v`` to unit Euclidean norm, preserving direction.
 
@@ -131,53 +114,6 @@ def normalize(v) -> np.ndarray:
     if norm < ZERO_NORM_CUTOFF:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
     return arr / norm
-
-
-def gram_matrix(vectors) -> np.ndarray:
-    """The k x k matrix of pairwise inner products.
-
-    Symmetry is exact by construction: entries are computed for i <= j and
-    mirrored.  For unit-norm inputs the diagonal is 1 up to roundoff and the
-    matrix is positive semidefinite.
-    """
-    rows = _as_rows(vectors)
-    _require_finite(rows)
-    g = rows @ rows.T
-    _mirror_upper(g)
-    return g
-
-
-def psd_det(g: np.ndarray) -> float:
-    """Determinant of a symmetric positive semidefinite matrix, >= 0.
-
-    Diagonally pivoted Cholesky over the upper triangle.  A pivot at or
-    below the rank tolerance ends the factorization with determinant
-    exactly 0 (the trailing block of a PSD matrix with negligible diagonal
-    is itself negligible).  A pivot far below zero means the input is not
-    numerically PSD; the determinant is then recomputed from clamped
-    eigenvalues.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    k = g.shape[0]
-    a = g.copy()
-    _mirror_upper(a)
-    tol = k * _EPS * max(float(a.diagonal().max()), 0.0)
-    det = 1.0
-    for j in range(k):
-        p = j + int(np.argmax(a.diagonal()[j:]))
-        pivot = float(a[p, p])
-        if pivot <= tol:
-            if pivot < -1000.0 * max(tol, _EPS):
-                return float(np.prod(np.clip(np.linalg.eigvalsh(g), 0.0, None)))
-            return 0.0
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-            a[:, [j, p]] = a[:, [p, j]]
-        det *= pivot
-        if j + 1 < k:
-            col = a[j + 1:, j]
-            a[j + 1:, j + 1:] -= np.outer(col / pivot, col)
-    return det
 
 
 #: Longest stretch of n that one BLAS ``ddot`` call sees.  OpenBLAS splits a

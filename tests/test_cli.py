@@ -425,6 +425,67 @@ class TestMetricCommand:
         )
 
 
+class TestReportOut:
+    """``eval``/``metric --out``: CSV for a ``.csv`` path, else the JSON line."""
+
+    HEADERS = {
+        "eval": ["direction", "queries", "r_at_1", "r_at_5", "r_at_10"],
+        "metric": ["mean_matched_volume", "one_minus_gram", "samples"],
+    }
+
+    @staticmethod
+    def run(tmp_path, rng, command, out):
+        ids = [f"s{i}" for i in range(6)]
+        for name in ("txt", "vid", "aud"):
+            write_modality(tmp_path / f"{name}.jsonl", name, ids, unit_rows(rng, 6, 5))
+        extra = ["--anchor", "txt"] if command == "eval" else []
+        res = run_cli("--out", out, command,
+                      *(tmp_path / f"{n}.jsonl" for n in ("txt", "vid", "aud")), *extra)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout), res.stdout
+
+    @pytest.mark.parametrize("command", ["eval", "metric"])
+    def test_csv_header_and_values(self, tmp_path, rng, command):
+        out = tmp_path / "report.csv"
+        report, _ = self.run(tmp_path, rng, command, out)
+        lines = out.read_text().split("\n")
+        assert len(lines) == 3 and lines[2] == ""
+        header, values = lines[0].split(","), lines[1].split(",")
+        assert header == self.HEADERS[command] == list(report)
+        for key, text in zip(header, values):
+            if key == "direction":
+                assert text == report[key] == "data_to_anchor"
+            else:
+                assert float(text) == report[key]
+
+    @pytest.mark.parametrize("command", ["eval", "metric"])
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_other_suffix_writes_the_json_line(self, tmp_path, rng, command, suffix):
+        out = tmp_path / f"report{suffix}"
+        _, stdout = self.run(tmp_path, rng, command, out)
+        assert out.read_text() == stdout
+        assert len(stdout.splitlines()) == 1
+
+
+class TestNoNormalize:
+    """The batch commands need unit rows even with --no-normalize; ``volume``
+    does not (``TestVolumeCommand.test_unnormalized_input_normalized_by_default``)."""
+
+    @pytest.mark.parametrize("command", ["simmat", "eval", "metric"])
+    def test_batch_commands_need_unit_rows(self, tmp_path, command):
+        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(3)[:2])
+        write_modality(tmp_path / "b.jsonl", "b", ["p", "q"],
+                       np.array([[0.0, 0.0, 1.0], [0.0, 1.0 + 1e-9, 0.0]]))
+        out = tmp_path / "out.csv"
+        extra = ["--anchor", "a"] if command != "metric" else []
+        res = run_cli("--no-normalize", "--out", out, command,
+                      tmp_path / "a.jsonl", tmp_path / "b.jsonl", *extra)
+        assert res.returncode == 2
+        assert "row off unit norm" in res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
+
+
 class TestUnwritableOut:
     def test_train_out_is_existing_file_exit_5(self, tmp_path):
         cfg = tmp_path / "train.cfg"

@@ -1,11 +1,14 @@
 """Retrieval recall, alignment score, and correlation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gramvol as gv
+from gramvol.cli import _write_report
 from gramvol.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -68,9 +71,9 @@ class TestRetrievalRecall:
 
     def test_report_fields(self, rng):
         v = rng.uniform(size=(12, 12))
-        rep = gv.retrieval_report(v)
-        assert rep.r_at_1 <= rep.r_at_5 <= rep.r_at_10
-        assert rep.direction == "data_to_anchor"
+        rep = gv.retrieval_recall(v)  # the default cutoffs 1, 5 and 10
+        assert list(rep) == [1, 5, 10]
+        assert rep[1] <= rep[5] <= rep[10]
 
 
 class TestAlignmentMetric:
@@ -115,18 +118,21 @@ class TestAlignmentMetric:
 
 
 class TestReportSerialization:
-    def test_json_single_line(self):
-        rep = gv.RetrievalReport(r_at_1=0.5, r_at_5=0.75, r_at_10=1.0)
-        line = gv.report_as_json(rep)
-        assert "\n" not in line
-        import json
+    """``cli._write_report``, the one renderer of eval/metric reports."""
 
-        assert json.loads(line)["r_at_5"] == 0.75
+    def test_json_single_line(self, tmp_path):
+        report = {"r_at_1": 0.5, "r_at_5": 0.75, "r_at_10": 1.0}
+        path = tmp_path / "report.json"
+        _write_report(path, report, json.dumps(report))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["r_at_5"] == 0.75
 
-    def test_csv_round_trip_values(self):
-        score = gv.AlignmentScore(mean_matched_volume=0.3, one_minus_gram=0.7)
-        text = gv.report_as_csv(score)
-        header, values = text.strip().split("\n")
+    def test_csv_round_trip_values(self, tmp_path):
+        report = {"mean_matched_volume": 0.3, "one_minus_gram": 0.7}
+        path = tmp_path / "report.csv"
+        _write_report(path, report, json.dumps(report))
+        header, values = path.read_text().strip().split("\n")
         assert header == "mean_matched_volume,one_minus_gram"
         assert [float(v) for v in values.split(",")] == [0.3, 0.7]
 

@@ -1,4 +1,4 @@
-"""Cross-volume and cosine matrices against per-tuple oracles."""
+"""Cross-volume matrices against per-tuple oracles."""
 
 import os
 import subprocess
@@ -93,7 +93,7 @@ class TestCrossVolumeMatrix:
         m = gv.ModalityBatch(rows=unit_rows(rng, 5, 6), modality_name="m")
         batch = gv.MultimodalBatch(anchor=a, datas=(m,))
         vols = gv.cross_volume_matrix(batch).values
-        cosines = gv.cosine_matrix(m, a)
+        cosines = m.rows @ a.rows.T
         np.testing.assert_allclose(1.0 - vols ** 2, cosines ** 2, atol=1e-10)
 
     def test_sample_permutation_equivariance(self, rng):
@@ -163,30 +163,3 @@ class TestCrossVolumeMatrix:
             assert res.returncode == 0, res.stderr
             outs.append(res.stdout)
         assert outs[0] == outs[1]
-
-
-class TestCosineMatrix:
-    def test_identity_for_identical_orthonormal_rows(self):
-        rows = np.eye(3)
-        a = gv.ModalityBatch(rows=rows)
-        np.testing.assert_array_equal(gv.cosine_matrix(a, a), np.eye(3))
-
-    def test_antipodal_diagonal(self, rng):
-        rows = unit_rows(rng, 4, 5)
-        a = gv.ModalityBatch(rows=rows)
-        b = gv.ModalityBatch(rows=-rows)
-        np.testing.assert_allclose(np.diag(gv.cosine_matrix(a, b)), -1.0, atol=1e-12)
-
-    def test_matches_dot_product_oracle(self, rng):
-        a = gv.ModalityBatch(rows=unit_rows(rng, 3, 7))
-        b = gv.ModalityBatch(rows=unit_rows(rng, 3, 7))
-        got = gv.cosine_matrix(a, b)
-        for i in range(3):
-            for j in range(3):
-                assert abs(got[i, j] - float(np.dot(a.rows[i], b.rows[j]))) < 1e-14
-
-    def test_rejects_inconsistent_batches(self, rng):
-        a = gv.ModalityBatch(rows=unit_rows(rng, 3, 7))
-        b = gv.ModalityBatch(rows=unit_rows(rng, 3, 6))
-        with pytest.raises(InconsistentBatchError):
-            gv.cosine_matrix(a, b)
