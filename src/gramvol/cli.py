@@ -1,22 +1,31 @@
 """Command-line entry point: volumes, similarity matrices, training, eval.
 
 Commands exchange data through line-delimited JSON embedding files (one
-modality per file) and write matrices/traces as CSV.  Diagnostics go to
-stderr; stdout carries data only.  ``eval`` and ``metric`` print one JSON
-line; their --out file holds that line, or a header line and a value line
-of CSV when the path ends in ``.csv``.  With --no-normalize, ``volume``
-takes any finite vectors as they are, while ``simmat``, ``eval`` and
-``metric`` still need unit rows and exit 2 ("row off unit norm") on a row
-more than 1e-10 off.  Exit codes are stable:
+modality per file) and write matrices/traces as CSV.  Each file is loaded
+as one (N, n) float64 array and, unless --no-normalize, scaled row-wise
+to unit norm by one ``normalize`` call.  Diagnostics go to stderr; stdout
+carries data only.  ``eval`` and ``metric`` print one JSON line; their
+--out file holds that line, or a header line and a value line of CSV when
+the path ends in ``.csv``.  With --no-normalize, ``volume`` takes any
+finite vectors as they are, while ``simmat``, ``eval`` and ``metric``
+still need unit rows and exit 2 ("row off unit norm") on a row more than
+1e-10 off.  Exit codes are stable:
 
     0  success
-    2  embedding file parse/data error (message carries the line number),
-       including modality files of different dimensions and, for simmat
-       and eval, two files with the same modality name
+    2  embedding file parse/data error, with one "path:line:" message: a
+       bad header (not an object, no format_version=1, n not an integer
+       >= 1), a bad record, a vector of the wrong length, a second
+       modality in one file, a duplicate id, NaN or Inf, bytes that are
+       not UTF-8; also a file that cannot be read ("path: reason"),
+       modality files of different dimensions and, for simmat, eval and
+       metric, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
-    5  configuration error, including an eval --ks cutoff below 1 and an
-       --out path that cannot be written ("cannot write <path>: <reason>")
+    5  configuration error: simmat, eval or metric given fewer than two
+       files, an eval --ks cutoff below 1, an --out path that cannot be
+       written ("cannot write <path>: <reason>"), a train config that
+       cannot be read, is not UTF-8 or has a bad key or value (batch_size
+       below 2, tau_init outside [1e-3, 10], any non-finite float)
     6  training diverged, or an encoder produced a zero embedding (partial
        trace is still written); any other library error in train exits
        with its code above, or 1, and a one-line message
@@ -27,10 +36,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -141,62 +150,49 @@ def main(ctx, seed, normalize_vectors, out):
 def _read_file(path: str):
     try:
         return read_embeddings(path)
-    except FileNotFoundError:
-        raise EmbeddingParseError(f"{path}: no such file")
+    except OSError as exc:
+        raise EmbeddingParseError(f"{path}: {exc.strerror or exc}") from None
     except EmbeddingParseError as exc:
         raise EmbeddingParseError(f"{path}:{exc.line_no}: {exc}", exc.line_no)
 
 
 def _load_files(paths, do_normalize):
-    """[(modality_name, id order, id->vector dict)] with per-file parsing."""
-    out = []
-    dims = {}
-    for path in paths:
-        emb = _read_file(path)
-        dims[path] = emb.n
-        by_id = emb.by_id()
-        if do_normalize:
-            by_id = {i: normalize(v) for i, v in by_id.items()}
-        elif not all(np.isfinite(v).all() for v in by_id.values()):
-            raise NonFiniteInputError(f"{path}: a vector contains NaN or Inf")
-        out.append((emb.single_modality(), emb.ids(), by_id))
+    """The parsed files, each one modality's (N, n) rows; normalized unless
+    ``do_normalize`` is off."""
+    files = [_read_file(path) for path in paths]
+    dims = {path: f.n for path, f in zip(paths, files)}
     if len(set(dims.values())) > 1:
         raise DimensionMismatchError(f"modality files have different dimensions: {dims}")
-    return out
+    if do_normalize:
+        files = [dataclasses.replace(f, rows=normalize(f.rows)) for f in files]
+    return files
 
 
-def _lookup(by_id, rec_id, modality):
-    if rec_id not in by_id:
-        raise MissingIdError(f"id {rec_id!r} missing from modality {modality!r}")
-    return by_id[rec_id]
-
-
-def _gather(files, ids):
-    """Per-modality (B, n) matrices for the given id order."""
+def _rows(files, ids):
+    """Per-file (B, n) rows for the given id order."""
     out = []
-    for modality, _, by_id in files:
-        out.append(np.array([_lookup(by_id, i, modality) for i in ids]))
+    for f in files:
+        index = {rec_id: i for i, rec_id in enumerate(f.ids)}
+        try:
+            out.append(f.rows[[index[i] for i in ids]])
+        except KeyError as exc:
+            raise MissingIdError(
+                f"id {exc.args[0]!r} missing from modality {f.modality!r}"
+            ) from None
     return out
 
 
-def _batch(files, ids) -> MultimodalBatch:
-    """The validated batch of the files' rows for ``ids``; the first file is
-    the anchor.  Rows must be unit norm, so under --no-normalize a row more
-    than 1e-10 off unit norm is a data error."""
-    anchor, *datas = (
-        ModalityBatch(rows=rows, modality_name=name)
-        for (name, _, _), rows in zip(files, _gather(files, ids))
-    )
-    return MultimodalBatch(anchor=anchor, datas=tuple(datas))
-
-
-def _anchor_batch(files, anchor_name):
+def _anchor_batch(files, anchor_name, ids=None):
     """(row ids, validated batch) with the named anchor modality first.
 
-    Row order follows the first data modality's file order; the same ids
-    index the columns, so matched tuples sit on the diagonal.
+    ``simmat``, ``eval`` and ``metric`` share these checks: at least two
+    files, distinct modality names, a known anchor.  Row order is ``ids``,
+    by default the first data modality's file order; the same ids index the
+    columns, so matched tuples sit on the diagonal.  Rows must be unit
+    norm, so under --no-normalize a row more than 1e-10 off unit norm is a
+    data error.
     """
-    names = [name for name, _, _ in files]
+    names = [f.modality for f in files]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise InconsistentBatchError(f"duplicate modality {repeated} across files")
@@ -207,9 +203,13 @@ def _anchor_batch(files, anchor_name):
     if len(files) < 2:
         raise InvalidConfigError("need at least two modality files")
     anchor = files[names.index(anchor_name)]
-    datas = [f for f in files if f[0] != anchor_name]
-    ids = list(datas[0][1])
-    return ids, _batch([anchor, *datas], ids)
+    ordered = [anchor, *(f for f in files if f is not anchor)]
+    ids = ordered[1].ids if ids is None else ids
+    anchor, *datas = (
+        ModalityBatch(rows=rows, modality_name=f.modality)
+        for f, rows in zip(ordered, _rows(ordered, ids))
+    )
+    return ids, MultimodalBatch(anchor=anchor, datas=tuple(datas))
 
 
 @main.command("volume")
@@ -221,13 +221,13 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
     """Print the tuple volume for each id across the modality files."""
     try:
         files = _load_files(paths, opts.normalize)
-        ids = list(files[0][1])
+        ids = files[0].ids
         if id_filter is not None:
             ids = [i.strip() for i in id_filter.split(",") if i.strip()]
         k = len(files)
         vols = []
         if ids:
-            mats = _gather(files, ids)
+            mats = _rows(files, ids)
             vols = VolumeBatch(mats[0], mats[1:], paired=True).values
         lines = ["id\tk\tvolume"]
         lines += [f"{rec_id}\t{k}\t{vol:.12g}" for rec_id, vol in zip(ids, vols)]
@@ -253,13 +253,19 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id"] + ids)
-    for i, rec_id in enumerate(ids):
-        writer.writerow([rec_id] + [f"{v:.12g}" for v in values[i]])
+    # The id cells go through csv.writer, which quotes ids such as "a,b".
+    # Its "\r\n" terminator, cut from each line, makes it quote an id
+    # holding either character.  One %-template formats a row's values.
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(["id", *ids])
+    lines[0] = lines[0][:-2] + "\n"
+    template = ",".join(["%.12g"] * len(ids)) + "\n"
+    for rec_id, row in zip(ids, values):
+        writer.writerow((rec_id, ""))  # "<id cell>,\r\n"
+        lines[-1] = lines[-1][:-2] + template % tuple(row.tolist())
     out_path = opts.out if opts.out is not None else Path("simmat.csv")
-    _write_output(out_path, buf.getvalue())
+    _write_output(out_path, "".join(lines))
     click.echo(f"wrote {out_path}", err=True)
 
 
@@ -270,8 +276,8 @@ def cmd_train(opts: CliOptions, config_path):
     """Generate the synthetic dataset and train; write trace + checkpoint."""
     try:
         spec, config = read_train_setup(config_path)
-    except FileNotFoundError:
-        _fail(EXIT_CONFIG, f"{config_path}: no such file")
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"{config_path}: {exc.strerror or exc}")
         return
     except GramVolError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -339,8 +345,8 @@ def cmd_metric(opts: CliOptions, paths):
     """Mean matched-tuple volume over all ids (and 1 - mean)."""
     try:
         files = _load_files(paths, opts.normalize)
-        ids = list(files[0][1])
-        score = alignment_metric(_batch(files, ids))
+        ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
+        score = alignment_metric(batch)
     except GramVolError as exc:
         _fail(_exit_code_for(exc), str(exc))
         return

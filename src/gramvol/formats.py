@@ -1,15 +1,17 @@
 """File formats: embedding files, key=value configs, traces, checkpoints.
 
 Embedding files are line-delimited JSON: a header record carrying the
-dimension and a format version, then one record per (id, modality) with
-the raw vector.  Floats are written with shortest-round-trip decimals, so
-a write/read cycle reproduces 64-bit values exactly.  All writers go
-through a temp file plus rename, so partially written outputs never
-appear under the target name.
+dimension and a format version, then one record per id, all of one
+modality, with the raw vector.  A file is read into its ids and one
+(N, n) float64 array.  Floats are written with shortest-round-trip
+decimals, so a write/read cycle reproduces 64-bit values exactly.  All
+writers go through a temp file plus rename, so partially written outputs
+never appear under the target name.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import EmbeddingParseError, InvalidConfigError
 from .synth import SyntheticSpec
-from .train import TRACE_COLUMNS, TraceRow, TrainConfig, TrainingTrace
+from .train import TRACE_COLUMNS, TrainConfig, TrainingTrace
 
 EMBED_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 1
@@ -49,39 +51,13 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EmbeddingRecord:
-    id: str
-    modality: str
-    vec: np.ndarray
-
-
-@dataclass
 class EmbeddingFile:
-    """Parsed embedding file: dimension plus records in file order."""
+    """Parsed embedding file: one modality's ids and (N, n) rows, in file order."""
 
     n: int
-    records: list[EmbeddingRecord]
-
-    def modalities(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.records:
-            if r.modality not in seen:
-                seen.append(r.modality)
-        return seen
-
-    def single_modality(self) -> str:
-        mods = self.modalities()
-        if len(mods) != 1:
-            raise EmbeddingParseError(
-                f"expected exactly one modality per file, found {mods}"
-            )
-        return mods[0]
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-    def by_id(self) -> dict[str, np.ndarray]:
-        return {r.id: r.vec for r in self.records}
+    modality: str
+    ids: list[str]
+    rows: np.ndarray
 
 
 def write_embeddings(
@@ -99,49 +75,80 @@ def write_embeddings(
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_header(obj, line_no: int) -> int:
+    """The dimension n from a header record."""
+    if not isinstance(obj, dict) or obj.get("format_version") != EMBED_FORMAT_VERSION \
+            or "n" not in obj:
+        raise EmbeddingParseError(
+            "first record must be a header with format_version=1 and n", line_no
+        )
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise EmbeddingParseError(f"header n must be an integer >= 1, got {n!r}", line_no)
+    return n
+
+
 def read_embeddings(path: str | Path) -> EmbeddingFile:
-    """Parse an embedding file, reporting the line number of any defect."""
-    header = None
-    records: list[EmbeddingRecord] = []
-    seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EmbeddingParseError(f"invalid JSON: {exc}", line_no) from exc
-            if header is None:
-                if obj.get("format_version") != EMBED_FORMAT_VERSION or "n" not in obj:
-                    raise EmbeddingParseError(
-                        "first record must be a header with format_version=1 and n",
-                        line_no,
-                    )
-                header = int(obj["n"])
-                if header < 1:
-                    raise EmbeddingParseError(f"header n must be >= 1, got {header}", line_no)
-                continue
-            try:
-                rec_id = str(obj["id"])
-                modality = str(obj["modality"])
-                vec = np.asarray(obj["vec"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise EmbeddingParseError(f"bad record: {exc}", line_no) from exc
-            if vec.ndim != 1 or vec.shape[0] != header:
-                raise EmbeddingParseError(
-                    f"vector length {vec.shape} does not match header n={header}",
-                    line_no,
-                )
-            key = (rec_id, modality)
-            if key in seen:
-                raise EmbeddingParseError(f"duplicate (id, modality) {key}", line_no)
-            seen.add(key)
-            records.append(EmbeddingRecord(id=rec_id, modality=modality, vec=vec))
-    if header is None:
+    """Parse an embedding file, reporting the line number of any defect.
+
+    Every check runs as its line is read: the header, each record's fields
+    and vector length, one modality per file, unique ids, finite values.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingParseError(
+            f"invalid UTF-8: {exc.reason}", data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    n = modality = None
+    ids: list[str] = []
+    vecs: list[np.ndarray] = []
+    seen: set[str] = set()
+    line_no = 0
+    # newline=None splits lines the way text-mode ``open`` does.
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise EmbeddingParseError(f"invalid JSON: {exc}", line_no) from exc
+        if n is None:
+            n = _read_header(obj, line_no)
+            continue
+        try:
+            rec_id = str(obj["id"])
+            rec_modality = str(obj["modality"])
+            vec = np.asarray(obj["vec"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise EmbeddingParseError(f"bad record: {exc}", line_no) from exc
+        if vec.ndim != 1 or vec.shape[0] != n:
+            raise EmbeddingParseError(
+                f"vector length {vec.shape} does not match header n={n}", line_no
+            )
+        if modality is None:
+            modality = rec_modality
+        elif rec_modality != modality:
+            raise EmbeddingParseError(
+                f"modality {rec_modality!r} in a file of modality {modality!r}; "
+                "one modality per file",
+                line_no,
+            )
+        if rec_id in seen:
+            raise EmbeddingParseError(f"duplicate id {rec_id!r}", line_no)
+        if not np.isfinite(vec).all():
+            raise EmbeddingParseError("vector contains NaN or Inf", line_no)
+        seen.add(rec_id)
+        ids.append(rec_id)
+        vecs.append(vec)
+    if n is None:
         raise EmbeddingParseError("file has no header record", 1)
-    return EmbeddingFile(n=header, records=records)
+    if not ids:
+        raise EmbeddingParseError("file has no records after the header", line_no)
+    return EmbeddingFile(n=n, modality=modality, ids=ids, rows=np.array(vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +231,11 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
 
 
 def read_train_setup(path: str | Path) -> tuple[SyntheticSpec, TrainConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_train_setup(parse_key_values(fh.read()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{path}: invalid UTF-8: {exc.reason}") from None
+    return build_train_setup(parse_key_values(text))
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +253,6 @@ def trace_to_csv(trace: TrainingTrace) -> str:
 
 def write_trace_csv(path: str | Path, trace: TrainingTrace) -> None:
     _atomic_write_text(path, trace_to_csv(trace))
-
-
-def read_trace_csv(path: str | Path) -> TrainingTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise InvalidConfigError(f"unexpected trace header in {path}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append(TraceRow(
-            epoch=int(cells[0]),
-            **{c: float(v) for c, v in zip(TRACE_COLUMNS[1:], cells[1:])},
-        ))
-    return TrainingTrace(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +277,3 @@ def write_checkpoint(
     }
     _atomic_write_bytes(bin_path, b"".join(blobs))
     _atomic_write_text(json_path, json.dumps(sidecar, indent=2) + "\n")
-
-
-def read_checkpoint(bin_path: str | Path, json_path: str | Path) -> dict[str, np.ndarray]:
-    with open(json_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise InvalidConfigError(f"unsupported checkpoint version in {json_path}")
-    flat = np.fromfile(bin_path, dtype="<f8")
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for tensor in sidecar["tensors"]:
-        shape = tuple(tensor["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        out[tensor["name"]] = flat[offset:offset + size].reshape(shape).astype(np.float64)
-        offset += size
-    if offset != flat.size:
-        raise InvalidConfigError("checkpoint binary size does not match sidecar shapes")
-    return out

@@ -15,7 +15,7 @@ untrained state).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .losses import (
+    TAU_MAX,
+    TAU_MIN,
     DamHead,
     LossReport,
     Temperature,
@@ -68,8 +70,14 @@ class TrainConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                name = "lambda" if f.name == "lam" else f.name
+                raise InvalidConfigError(f"{name} must be finite, got {value!r}")
         checks = [
-            (self.batch_size >= 1, "batch_size must be >= 1"),
+            # A 1 x 1 contrastive loss has zero gradient and no negative.
+            (self.batch_size >= 2, "batch_size must be >= 2"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.lr >= 0.0, "lr must be >= 0"),
             (0.0 <= self.beta1 < 1.0, "beta1 must lie in [0, 1)"),
@@ -77,7 +85,8 @@ class TrainConfig:
             (self.adam_eps > 0.0, "adam_eps must be > 0"),
             (self.weight_decay >= 0.0, "weight_decay must be >= 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
-            (self.tau_init > 0.0, "tau_init must be > 0"),
+            (TAU_MIN <= self.tau_init <= TAU_MAX,
+             f"tau_init must lie in [{TAU_MIN}, {TAU_MAX}]"),
             (self.loss in LOSS_KINDS, f"loss must be one of {LOSS_KINDS}"),
             (self.eval_max_samples >= 1, "eval_max_samples must be >= 1"),
             (0.0 < self.holdout_fraction < 1.0, "holdout_fraction must be in (0, 1)"),

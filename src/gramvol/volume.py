@@ -103,17 +103,20 @@ def _require_finite(rows: np.ndarray) -> None:
 def normalize(v) -> np.ndarray:
     """Scale ``v`` to unit Euclidean norm, preserving direction.
 
-    Raises ``ZeroVectorError`` when the norm is below ``ZERO_NORM_CUTOFF``
-    (a degenerate encoder output) and ``NonFiniteInputError`` on NaN/Inf.
+    ``v`` is one vector (n,) or a stack of rows (N, n), each scaled by its
+    own norm; a row's norm is ``_dots`` of the row with itself, so it does
+    not depend on the row's position or on the BLAS thread count.  Raises
+    ``ZeroVectorError`` when a norm is below ``ZERO_NORM_CUTOFF`` (a
+    degenerate encoder output) and ``NonFiniteInputError`` on NaN/Inf.
     """
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatchError(f"expected a vector or rows, got shape {arr.shape}")
     _require_finite(arr)
-    norm = float(np.linalg.norm(arr))
-    if norm < ZERO_NORM_CUTOFF:
-        raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
-    return arr / norm
+    norms = np.sqrt(_dots(arr, arr))
+    if (norms < ZERO_NORM_CUTOFF).any():
+        raise ZeroVectorError(f"cannot normalize vector with norm {float(norms.min())!r}")
+    return arr / norms[..., None]
 
 
 #: Longest stretch of n that one BLAS ``ddot`` call sees.  OpenBLAS splits a

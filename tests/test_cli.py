@@ -266,6 +266,26 @@ class TestTrainCommand:
         res = run_cli("train", cfg)
         assert res.returncode == 5
 
+    @pytest.mark.parametrize("line", [
+        "batch_size = 1", "tau_init = 1e-300", "tau_init = 11", "lr = inf",
+    ])
+    def test_silently_wrong_config_exit_5(self, tmp_path, line):
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "\n".join(ln for ln in self.CONFIG.splitlines() if not ln.startswith(key))
+            + f"\n{line}\n"
+        )
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 5
+        assert result.stderr.startswith(f"error: {key}") and result.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_diverged_training_exit_6(self, tmp_path, monkeypatch):
         # The bounded toy architecture cannot diverge from a config alone,
         # so the abort path is exercised by stubbing the trainer.
@@ -423,6 +443,66 @@ class TestMetricCommand:
         assert report["mean_matched_volume"] == pytest.approx(
             expected.mean_matched_volume, abs=1e-12
         )
+
+    def test_one_file_exit_5(self, tmp_path, rng):
+        write_modality(tmp_path / "x.jsonl", "x", ["a", "b"], unit_rows(rng, 2, 3))
+        res = run_cli("metric", tmp_path / "x.jsonl")
+        assert res.returncode == 5
+        assert res.stderr == "error: need at least two modality files\n"
+        assert res.stdout == ""
+
+    def test_duplicate_modality_exit_2(self, tmp_path, rng):
+        ids = ["a", "b", "c"]
+        for fname, name in (("t1", "txt"), ("t2", "txt"), ("v", "vid")):
+            write_modality(tmp_path / f"{fname}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        res = run_cli("--out", tmp_path / "out.json", "metric",
+                      *(tmp_path / f"{f}.jsonl" for f in ("t1", "t2", "v")))
+        assert res.returncode == 2
+        assert "duplicate modality" in res.stderr
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestReaderErrors:
+    """Malformed embedding files exit 2 with one ``error: path:line:`` line."""
+
+    @pytest.mark.parametrize("body, line_no", [
+        (b'{"format_version": 1, "n": "x"}\n', 1),
+        (b'[1,2]\n', 1),
+        (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, 0.0]}\n'
+         b'{"id": "q", "modality": "a", "vec": ["\xff"]}\n', 3),
+        (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [NaN, 1.0]}\n', 2),
+        (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, Infinity]}\n',
+         2),
+    ], ids=["n-not-int", "header-array", "non-utf8", "nan", "inf"])
+    @pytest.mark.parametrize("no_normalize", [False, True])
+    def test_exit_2_with_path_and_line(self, tmp_path, body, line_no, no_normalize):
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(body)
+        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 1.0]]))
+        flags = ["--no-normalize"] if no_normalize else []
+        result = CliRunner().invoke(main, [*flags, "volume", str(bad), str(tmp_path / "b.jsonl")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {bad}:{line_no}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["volume", "train"])
+    def test_unreadable_path_one_line(self, tmp_path, command):
+        res = run_cli(command, tmp_path)
+        assert res.returncode == (2 if command == "volume" else 5)
+        assert res.stderr == f"error: {tmp_path}: Is a directory\n"
+
+    def test_non_utf8_train_config_exit_5(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"epochs = 1\nseed = \xff\n")
+        res = run_cli("train", cfg)
+        assert res.returncode == 5
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert "UTF-8" in res.stderr
 
 
 class TestReportOut:

@@ -1,5 +1,7 @@
 """Embedding files, configs, traces, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from gramvol.errors import EmbeddingParseError, InvalidConfigError
 from gramvol.formats import (
     build_train_setup,
     parse_key_values,
-    read_checkpoint,
     read_embeddings,
-    read_trace_csv,
     trace_to_csv,
     write_checkpoint,
     write_embeddings,
@@ -26,11 +26,11 @@ class TestEmbeddingFiles:
         write_embeddings(path, 7, [(f"s{i}", "video", vecs[i]) for i in range(5)])
         emb = read_embeddings(path)
         assert emb.n == 7
-        assert emb.single_modality() == "video"
-        assert emb.ids() == [f"s{i}" for i in range(5)]
-        got = np.array([emb.by_id()[f"s{i}"] for i in range(5)])
+        assert emb.modality == "video"
+        assert emb.ids == [f"s{i}" for i in range(5)]
+        assert emb.rows.dtype == np.float64 and emb.rows.shape == (5, 7)
         # shortest-round-trip decimals reproduce the doubles exactly
-        np.testing.assert_array_equal(got, vecs)
+        np.testing.assert_array_equal(emb.rows, vecs)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -66,6 +66,47 @@ class TestEmbeddingFiles:
         with pytest.raises(EmbeddingParseError) as err:
             read_embeddings(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("body, line_no, needle", [
+        ('{"format_version": 1, "n": "x"}\n', 1, "header n"),
+        ('{"format_version": 1, "n": 2.5}\n', 1, "header n"),
+        ('[1, 2]\n', 1, "header"),
+        ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [NaN]}\n',
+         2, "NaN or Inf"),
+        ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1e999]}\n',
+         2, "NaN or Inf"),
+        ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1.0]}\n'
+         '{"id": "b", "modality": "q", "vec": [1.0]}\n', 3, "one modality per file"),
+        ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1%s]}\n'
+         % ("0" * 400), 2, "bad record"),
+        ('{"format_version": 1, "n": 1}\n\n', 2, "no records"),
+    ])
+    def test_defect_reports_line(self, tmp_path, body, line_no, needle):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(body)
+        with pytest.raises(EmbeddingParseError) as err:
+            read_embeddings(path)
+        assert err.value.line_no == line_no
+        assert needle in str(err.value)
+
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"format_version": 1, "n": 1}\n{"id": "\xff", "modality": "m"}\n')
+        with pytest.raises(EmbeddingParseError) as err:
+            read_embeddings(path)
+        assert err.value.line_no == 2
+        assert "UTF-8" in str(err.value)
+
+    def test_lines_split_like_text_mode(self, tmp_path):
+        # \r and \r\n end lines; U+2028 inside a JSON string does not.
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(
+            b'{"format_version": 1, "n": 1}\r'
+            b'{"id": "a\xe2\x80\xa8b", "modality": "m", "vec": [2.0]}\r\n'
+        )
+        emb = read_embeddings(path)
+        assert emb.ids == ["a\u2028b"]
+        np.testing.assert_array_equal(emb.rows, [[2.0]])
 
 
 class TestConfigParsing:
@@ -119,8 +160,13 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         trace = self._trace()
         write_trace_csv(path, trace)
-        got = read_trace_csv(path)
-        assert got.rows == trace.rows
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        got = [
+            TraceRow(int(cells[0]), *map(float, cells[1:]))
+            for cells in (line.split(",") for line in lines)
+        ]
+        assert header.split(",")[0] == "epoch"
+        assert got == trace.rows
 
     def test_header_and_shape(self):
         text = trace_to_csv(self._trace())
@@ -137,11 +183,16 @@ class TestCheckpoints:
             "log_tau": np.array(-2.65926),
         }
         write_checkpoint(tmp_path / "c.bin", tmp_path / "c.json", params)
-        got = read_checkpoint(tmp_path / "c.bin", tmp_path / "c.json")
-        assert list(got) == list(params)
-        for name in params:
-            np.testing.assert_array_equal(got[name], params[name])
-            assert got[name].shape == params[name].shape
+        sidecar = json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))
+        assert sidecar["format_version"] == 1 and sidecar["dtype"] == "<f8"
+        flat = np.frombuffer((tmp_path / "c.bin").read_bytes(), dtype="<f8")
+        offset = 0
+        for tensor, (name, want) in zip(sidecar["tensors"], params.items(), strict=True):
+            assert tensor == {"name": name, "shape": list(want.shape)}
+            got = flat[offset:offset + want.size].reshape(want.shape)
+            np.testing.assert_array_equal(got, want)
+            offset += want.size
+        assert offset == flat.size
 
     def test_binary_is_little_endian_float64(self, tmp_path):
         params = {"w": np.array([1.0, 2.0])}

@@ -137,6 +137,27 @@ class TestTrainLoop:
         with pytest.raises(InvalidConfigError):
             TrainConfig(holdout_fraction=1.0)
 
+    @pytest.mark.parametrize("kw, needle", [
+        # A 1 x 1 contrastive loss has zero gradient.
+        ({"batch_size": 1}, "batch_size"),
+        # tau is clamped only after a step, so the first one would use tau_init.
+        ({"tau_init": 1e-300}, "tau_init"),
+        ({"tau_init": 10.5}, "tau_init"),
+        ({"lr": math.inf}, "lr must be finite"),
+        ({"weight_decay": math.inf}, "weight_decay must be finite"),
+        ({"lam": math.nan}, "lambda must be finite"),
+    ])
+    def test_config_rejects_silently_wrong_values(self, kw, needle):
+        with pytest.raises(InvalidConfigError, match=needle):
+            TrainConfig(**kw)
+
+    def test_boundary_values_accepted(self):
+        from gramvol.losses import TAU_MAX, TAU_MIN
+
+        assert TrainConfig(tau_init=TAU_MIN).tau_init == TAU_MIN
+        assert TrainConfig(tau_init=TAU_MAX).tau_init == TAU_MAX
+        assert TrainConfig(batch_size=2).batch_size == 2
+
     def test_zero_learning_rate_is_noop(self):
         ds = gv.generate_dataset(tiny_spec())
         cfg = tiny_config(lr=0.0, epochs=1)
