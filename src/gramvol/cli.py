@@ -12,20 +12,18 @@ still need unit rows and exit 2 ("row off unit norm") on a row more than
 1e-10 off.  Exit codes are stable:
 
     0  success
-    2  embedding file parse/data error, with one "path:line:" message: a
-       bad header (not an object, no format_version=1, n not an integer
-       >= 1), a bad record, a vector of the wrong length, a second
-       modality in one file, a duplicate id, NaN or Inf, bytes that are
-       not UTF-8; also a file that cannot be read ("path: reason"),
-       modality files of different dimensions and, for simmat, eval and
-       metric, two files with the same modality name
+    2  embedding file parse/data error, one "path:line:" message (a bad
+       header or record, a wrong vector length, a second modality, a
+       duplicate id, NaN or Inf, bytes that are not UTF-8); a file that
+       cannot be read; files of different dimensions; for simmat, eval
+       and metric, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
        files, an eval --ks cutoff below 1, an --out path that cannot be
        written ("cannot write <path>: <reason>"), a train config that
-       cannot be read, is not UTF-8 or has a bad key or value (batch_size
-       below 2, tau_init outside [1e-3, 10], any non-finite float)
+       cannot be read, is not UTF-8 or holds a bad value (batch_size
+       below 2, tau_init outside [1e-3, 10], a non-finite float)
     6  training diverged, or an encoder produced a zero embedding (partial
        trace is still written); any other library error in train exits
        with its code above, or 1, and a one-line message
@@ -185,12 +183,10 @@ def _rows(files, ids):
 def _anchor_batch(files, anchor_name, ids=None):
     """(row ids, validated batch) with the named anchor modality first.
 
-    ``simmat``, ``eval`` and ``metric`` share these checks: at least two
-    files, distinct modality names, a known anchor.  Row order is ``ids``,
+    The checks of ``simmat``, ``eval`` and ``metric``.  Rows follow ``ids``,
     by default the first data modality's file order; the same ids index the
     columns, so matched tuples sit on the diagonal.  Rows must be unit
-    norm, so under --no-normalize a row more than 1e-10 off unit norm is a
-    data error.
+    norm, so under --no-normalize a row off by over 1e-10 is a data error.
     """
     names = [f.modality for f in files]
     repeated = sorted({name for name in names if names.count(name) > 1})

@@ -11,7 +11,6 @@ never appear under the target name.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
@@ -91,8 +90,9 @@ def _read_header(obj, line_no: int) -> int:
 def read_embeddings(path: str | Path) -> EmbeddingFile:
     """Parse an embedding file, reporting the line number of any defect.
 
-    Every check runs as its line is read: the header, each record's fields
-    and vector length, one modality per file, unique ids, finite values.
+    The checks run as each line is read: the header, each record's fields
+    and vector length, one modality per file, unique ids.  Finiteness is
+    checked on the whole array at the end, at the first bad row's line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -105,10 +105,12 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
     n = modality = None
     ids: list[str] = []
     vecs: list[np.ndarray] = []
+    line_nos: list[int] = []
     seen: set[str] = set()
-    line_no = 0
-    # newline=None splits lines the way text-mode ``open`` does.
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+    # Lines end at "\r\n", "\r" or "\n", as text-mode ``open`` reads them.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -133,22 +135,23 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
             modality = rec_modality
         elif rec_modality != modality:
             raise EmbeddingParseError(
-                f"modality {rec_modality!r} in a file of modality {modality!r}; "
-                "one modality per file",
-                line_no,
+                f"second modality {rec_modality!r} in a {modality!r} file", line_no
             )
         if rec_id in seen:
             raise EmbeddingParseError(f"duplicate id {rec_id!r}", line_no)
-        if not np.isfinite(vec).all():
-            raise EmbeddingParseError("vector contains NaN or Inf", line_no)
         seen.add(rec_id)
         ids.append(rec_id)
         vecs.append(vec)
+        line_nos.append(line_no)
     if n is None:
         raise EmbeddingParseError("file has no header record", 1)
     if not ids:
         raise EmbeddingParseError("file has no records after the header", line_no)
-    return EmbeddingFile(n=n, modality=modality, ids=ids, rows=np.array(vecs))
+    rows = np.array(vecs)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise EmbeddingParseError("vector contains NaN or Inf", line_nos[bad[0]])
+    return EmbeddingFile(n=n, modality=modality, ids=ids, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestEmbeddingFiles:
         ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1e999]}\n',
          2, "NaN or Inf"),
         ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1.0]}\n'
-         '{"id": "b", "modality": "q", "vec": [1.0]}\n', 3, "one modality per file"),
+         '{"id": "b", "modality": "q", "vec": [1.0]}\n', 3, "second modality 'q'"),
         ('{"format_version": 1, "n": 1}\n{"id": "a", "modality": "m", "vec": [1%s]}\n'
          % ("0" * 400), 2, "bad record"),
         ('{"format_version": 1, "n": 1}\n\n', 2, "no records"),
