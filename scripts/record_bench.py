@@ -11,8 +11,7 @@ seed for the end-to-end metrics, then one ``--trace 1`` run at the first
 seed for the per-layer metrics.  The file holds the environment, the git
 revision, each end-to-end metric's median over the seeds with the
 per-seed values, and each per-layer value.  Each run takes the
-benchmark's ``run_seconds`` plus set-up, so the defaults take about
-3 x 4 x 40 s.
+benchmark's ``run_seconds`` plus set-up, about 3 x 4 x 40 s in all.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SEEDS = (1, 2, 3)
 
 
 def git(*args: str) -> str | None:
@@ -38,10 +38,10 @@ def git(*args: str) -> str | None:
     return res.stdout.strip() if res.returncode == 0 else None
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """(result JSON, environment) of one ``perfbench/run.py`` run."""
-    args = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    args = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(BENCH["run_seconds"]), "--trace", str(trace)]
     print("#", " ".join(args[1:]), file=sys.stderr, flush=True)
     res = subprocess.run(args, cwd=ROOT, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
@@ -52,26 +52,26 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dic
     return json.loads(lines[-1]), env
 
 
-def record(label: str, seeds: list[int], seconds: float) -> dict:
+def record(label: str) -> dict:
     out = {
         "label": label,
         "git_revision": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
-        "seeds": seeds,
-        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "seconds": BENCH["run_seconds"],
         "environment": {"platform": platform.platform(), "machine": platform.machine()},
         "workloads": {},
     }
     for workload in (w["name"] for w in BENCH["workloads"]):
         runs = []
-        for seed in seeds:
-            result, env = run_bench(workload, seed, seconds, trace=0)
+        for seed in SEEDS:
+            result, env = run_bench(workload, seed, trace=0)
             out["environment"].update(
                 {k: v for k, v in env.items() if not k.startswith(("loadavg", "git"))})
             runs.append(result)
-        traced, _ = run_bench(workload, seeds[0], seconds, trace=1)
+        traced, _ = run_bench(workload, SEEDS[0], trace=1)
         end_to_end = {}
         for metric in BENCH["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in runs]
@@ -87,7 +87,7 @@ def record(label: str, seeds: list[int], seconds: float) -> dict:
             "failed_steps": sum(r["failed"] for r in runs) + traced["failed"],
             "attempted_steps": sum(r["attempted"] for r in runs) + traced["attempted"],
             "end_to_end": end_to_end,
-            "per_layer_seed": seeds[0],
+            "per_layer_seed": SEEDS[0],
             "per_layer": traced["metrics"],
         }
     return out
@@ -96,11 +96,9 @@ def record(label: str, seeds: list[int], seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=BENCH["run_seconds"])
     args = parser.parse_args(argv)
     path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record(args.label, args.seeds, args.seconds), indent=1) + "\n",
+    path.write_text(json.dumps(record(args.label), indent=1) + "\n",
                     encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -170,9 +170,8 @@ def _rows(files, ids):
     """Per-file (B, n) rows for the given id order."""
     out = []
     for f in files:
-        index = {rec_id: i for i, rec_id in enumerate(f.ids)}
         try:
-            out.append(f.rows[[index[i] for i in ids]])
+            out.append(f.rows[[f.index[i] for i in ids]])
         except KeyError as exc:
             raise MissingIdError(
                 f"id {exc.args[0]!r} missing from modality {f.modality!r}"

@@ -51,12 +51,17 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 @dataclass(frozen=True)
 class EmbeddingFile:
-    """Parsed embedding file: one modality's ids and (N, n) rows, in file order."""
+    """Parsed embedding file: one modality's (N, n) rows, in file order, and
+    each id's row index."""
 
     n: int
     modality: str
-    ids: list[str]
+    index: dict[str, int]
     rows: np.ndarray
+
+    @property
+    def ids(self) -> list[str]:
+        return list(self.index)
 
 
 def write_embeddings(
@@ -99,14 +104,14 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise EmbeddingParseError(
-            f"invalid UTF-8: {exc.reason}", data.count(b"\n", 0, exc.start) + 1
+            f"invalid UTF-8: {exc.reason}", head.count(b"\n") + 1
         ) from None
     n = modality = None
-    ids: list[str] = []
+    index: dict[str, int] = {}
     vecs: list[np.ndarray] = []
     line_nos: list[int] = []
-    seen: set[str] = set()
     # Lines end at "\r\n", "\r" or "\n", as text-mode ``open`` reads them.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.removesuffix("\n").split("\n")
@@ -137,21 +142,20 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
             raise EmbeddingParseError(
                 f"second modality {rec_modality!r} in a {modality!r} file", line_no
             )
-        if rec_id in seen:
+        if rec_id in index:
             raise EmbeddingParseError(f"duplicate id {rec_id!r}", line_no)
-        seen.add(rec_id)
-        ids.append(rec_id)
+        index[rec_id] = len(vecs)
         vecs.append(vec)
         line_nos.append(line_no)
     if n is None:
         raise EmbeddingParseError("file has no header record", 1)
-    if not ids:
+    if not index:
         raise EmbeddingParseError("file has no records after the header", line_no)
     rows = np.array(vecs)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise EmbeddingParseError("vector contains NaN or Inf", line_nos[bad[0]])
-    return EmbeddingFile(n=n, modality=modality, ids=ids, rows=rows)
+    return EmbeddingFile(n=n, modality=modality, index=index, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -89,12 +89,17 @@ class TestEmbeddingFiles:
         assert err.value.line_no == line_no
         assert needle in str(err.value)
 
-    def test_non_utf8_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("eol", [b"\n", b"\r", b"\r\n"])
+    def test_non_utf8_reports_line(self, tmp_path, eol):
         path = tmp_path / "bad.jsonl"
-        path.write_bytes(b'{"format_version": 1, "n": 1}\n{"id": "\xff", "modality": "m"}\n')
+        path.write_bytes(eol.join([
+            b'{"format_version": 1, "n": 1}',
+            b'{"id": "a", "modality": "m", "vec": [1.0]}',
+            b'{"id": "\xff", "modality": "m"}', b"",
+        ]))
         with pytest.raises(EmbeddingParseError) as err:
             read_embeddings(path)
-        assert err.value.line_no == 2
+        assert err.value.line_no == 3
         assert "UTF-8" in str(err.value)
 
     def test_lines_split_like_text_mode(self, tmp_path):
