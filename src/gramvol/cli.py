@@ -9,24 +9,31 @@ carries data only.  ``eval`` and ``metric`` print one JSON line; their
 the path ends in ``.csv``.  With --no-normalize, ``volume`` takes any
 finite vectors as they are, while ``simmat``, ``eval`` and ``metric``
 still need unit rows and exit 2 ("row off unit norm") on a row more than
-1e-10 off.  Exit codes are stable:
+1e-10 off.  ``volume`` prints a tab-separated table whose id cells are
+quoted as CSV needs (an id holding a tab, a quote, LF or CR).  Exit codes
+are stable, and the command group maps each library error to one:
 
     0  success
     2  embedding file parse/data error, one "path:line:" message (a bad
-       header or record, a wrong vector length, a second modality, a
-       duplicate id, NaN or Inf, bytes that are not UTF-8); a file that
-       cannot be read; files of different dimensions; for simmat, eval
-       and metric, two files with the same modality name
+       header or record, an id or modality that is not a JSON string, a
+       wrong vector length, a second modality, a duplicate id, NaN or
+       Inf, bytes that are not UTF-8); a file that cannot be read; files
+       of different dimensions; for simmat, eval and metric, two files
+       with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
        files, an eval --ks cutoff below 1, an --out path that cannot be
        written ("cannot write <path>: <reason>"), a train config that
-       cannot be read, is not UTF-8 or holds a bad value (batch_size
-       below 2, tau_init outside [1e-3, 10], a non-finite float)
-    6  training diverged, or an encoder produced a zero embedding (partial
-       trace is still written); any other library error in train exits
-       with its code above, or 1, and a one-line message
+       cannot be read, is not UTF-8, has a key other than the fields of
+       ``SyntheticSpec``/``TrainConfig`` (``lambda`` names ``lam`` and
+       ``data_seed`` the spec's ``seed``) or holds a bad value (batch_size
+       below 2, tau_init outside [1e-3, 10], a seed below 0, a non-finite
+       float)
+    6  training diverged: a non-finite loss, a float overflow or invalid
+       operation, or an encoder's zero embedding (the partial trace is
+       still written)
+    1  any other library error, for every command, with a one-line message
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import click
-import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -68,37 +74,40 @@ from .synth import generate_dataset
 from .train import train as run_training
 from .volume import VolumeBatch, normalize
 
-EXIT_PARSE = 2
-EXIT_MISSING_ID = 3
-EXIT_UNKNOWN_ANCHOR = 4
-EXIT_CONFIG = 5
-EXIT_DIVERGED = 6
-
+#: Library error -> exit code; any other ``GramVolError`` exits 1.
 _EXIT_CODES: tuple[tuple[type[GramVolError], int], ...] = (
-    (EmbeddingParseError, EXIT_PARSE),
-    (DimensionMismatchError, EXIT_PARSE),
-    (ZeroVectorError, EXIT_PARSE),
-    (NonFiniteInputError, EXIT_PARSE),
-    (InconsistentBatchError, EXIT_PARSE),
-    (MissingIdError, EXIT_MISSING_ID),
-    (UnknownAnchorError, EXIT_UNKNOWN_ANCHOR),
-    (InvalidConfigError, EXIT_CONFIG),
-    (InvalidSpecError, EXIT_CONFIG),
+    (EmbeddingParseError, 2),
+    (DimensionMismatchError, 2),
+    (ZeroVectorError, 2),
+    (NonFiniteInputError, 2),
+    (InconsistentBatchError, 2),
+    (MissingIdError, 3),
+    (UnknownAnchorError, 4),
+    (InvalidConfigError, 5),
+    (InvalidSpecError, 5),
+    (DivergedTrainingError, 6),
 )
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """The command group, and the one place where a library error becomes
+    an exit code and one ``error:`` line on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GramVolError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next((code for t, code in _EXIT_CODES if isinstance(exc, t)), 1))
 
 
 @contextlib.contextmanager
 def _writing(path: Path):
-    """Exit 5 with one line when writing the output at ``path`` fails."""
+    """Turn a failure to write the output at ``path`` into a config error."""
     try:
         yield
     except OSError as exc:
-        _fail(EXIT_CONFIG, f"cannot write {path}: {exc.strerror or exc}")
+        raise InvalidConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_output(path: Path, text: str) -> None:
@@ -118,11 +127,12 @@ def _write_report(path: Path, report: dict, json_line: str) -> None:
         _write_output(path, json_line + "\n")
 
 
-def _exit_code_for(exc: GramVolError) -> int:
-    for exc_type, code in _EXIT_CODES:
-        if isinstance(exc, exc_type):
-            return code
-    return 1
+def _csv_writer(lines: list[str], delimiter: str = ","):
+    """A csv writer that appends each row to ``lines``.  Rows end in
+    "\r\n", which makes it quote a cell holding either character; callers
+    cut the two off."""
+    return csv.writer(SimpleNamespace(write=lines.append), delimiter=delimiter,
+                      lineterminator="\r\n")
 
 
 @dataclasses.dataclass
@@ -132,7 +142,7 @@ class CliOptions:
     out: Path | None
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.option("--seed", type=int, default=None,
               help="Override the seed from the config (train only).")
 @click.option("--normalize/--no-normalize", "normalize_vectors", default=True,
@@ -214,24 +224,22 @@ def _anchor_batch(files, anchor_name, ids=None):
 @click.pass_obj
 def cmd_volume(opts: CliOptions, paths, id_filter):
     """Print the tuple volume for each id across the modality files."""
-    try:
-        files = _load_files(paths, opts.normalize)
-        ids = files[0].ids
-        if id_filter is not None:
-            ids = [i.strip() for i in id_filter.split(",") if i.strip()]
-        k = len(files)
-        vols = []
-        if ids:
-            mats = _rows(files, ids)
-            vols = VolumeBatch(mats[0], mats[1:], paired=True).values
-        lines = ["id\tk\tvolume"]
-        lines += [f"{rec_id}\t{k}\t{vol:.12g}" for rec_id, vol in zip(ids, vols)]
-    except GramVolError as exc:
-        _fail(_exit_code_for(exc), str(exc))
-        return
+    files = _load_files(paths, opts.normalize)
+    ids = files[0].ids
+    if id_filter is not None:
+        ids = [i.strip() for i in id_filter.split(",") if i.strip()]
+    vols = []
+    if ids:
+        mats = _rows(files, ids)
+        vols = VolumeBatch(mats[0], mats[1:], paired=True).values
+    lines = []
+    writer = _csv_writer(lines, delimiter="\t")
+    writer.writerow(["id", "k", "volume"])
+    writer.writerows((rec_id, len(files), f"{vol:.12g}") for rec_id, vol in zip(ids, vols))
+    text = "\n".join(line[:-2] for line in lines)
     if opts.out is not None:
-        _write_output(opts.out, "\n".join(lines) + "\n")
-    click.echo("\n".join(lines))
+        _write_output(opts.out, text + "\n")
+    click.echo(text)
 
 
 @main.command("simmat")
@@ -241,18 +249,13 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
 @click.pass_obj
 def cmd_simmat(opts: CliOptions, paths, anchor_name):
     """Write the B x B cross-volume matrix as CSV with id headers."""
-    try:
-        files = _load_files(paths, opts.normalize)
-        ids, batch = _anchor_batch(files, anchor_name)
-        values = cross_volume_matrix(batch).values
-    except GramVolError as exc:
-        _fail(_exit_code_for(exc), str(exc))
-        return
+    files = _load_files(paths, opts.normalize)
+    ids, batch = _anchor_batch(files, anchor_name)
+    values = cross_volume_matrix(batch).values
     # The id cells go through csv.writer, which quotes ids such as "a,b".
-    # Its "\r\n" terminator, cut from each line, makes it quote an id
-    # holding either character.  One %-template formats a row's values.
+    # One %-template formats a row's values.
     lines = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer = _csv_writer(lines)
     writer.writerow(["id", *ids])
     lines[0] = lines[0][:-2] + "\n"
     template = ",".join(["%.12g"] * len(ids)) + "\n"
@@ -269,14 +272,7 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
 @click.pass_obj
 def cmd_train(opts: CliOptions, config_path):
     """Generate the synthetic dataset and train; write trace + checkpoint."""
-    try:
-        spec, config = read_train_setup(config_path)
-    except OSError as exc:
-        _fail(EXIT_CONFIG, f"{config_path}: {exc.strerror or exc}")
-        return
-    except GramVolError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-        return
+    spec, config = read_train_setup(config_path)
     if opts.seed is not None:
         spec = dataclasses.replace(spec, seed=opts.seed)
         config = dataclasses.replace(config, seed=opts.seed)
@@ -290,11 +286,7 @@ def cmd_train(opts: CliOptions, config_path):
         if exc.trace is not None:
             with _writing(out_dir):
                 write_trace_csv(out_dir / "trace.csv", exc.trace)
-        _fail(EXIT_DIVERGED, str(exc))
-        return
-    except GramVolError as exc:
-        _fail(_exit_code_for(exc), str(exc))
-        return
+        raise
     with _writing(out_dir):
         write_trace_csv(out_dir / "trace.csv", result.trace)
         write_checkpoint(
@@ -316,15 +308,10 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
         if bad:
             raise ValueError(f"cutoffs must be >= 1, got {bad}")
     except ValueError as exc:
-        _fail(EXIT_CONFIG, f"bad --ks value: {exc}")
-        return
-    try:
-        files = _load_files(paths, opts.normalize)
-        ids, batch = _anchor_batch(files, anchor_name)
-        recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
-    except GramVolError as exc:
-        _fail(_exit_code_for(exc), str(exc))
-        return
+        raise InvalidConfigError(f"bad --ks value: {exc}") from None
+    files = _load_files(paths, opts.normalize)
+    ids, batch = _anchor_batch(files, anchor_name)
+    recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
     report = {"direction": "data_to_anchor", "queries": len(ids)}
     report.update({f"r_at_{k}": recalls[k] for k in k_values})
     line = json.dumps(report)
@@ -338,13 +325,9 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
 @click.pass_obj
 def cmd_metric(opts: CliOptions, paths):
     """Mean matched-tuple volume over all ids (and 1 - mean)."""
-    try:
-        files = _load_files(paths, opts.normalize)
-        ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
-        score = alignment_metric(batch)
-    except GramVolError as exc:
-        _fail(_exit_code_for(exc), str(exc))
-        return
+    files = _load_files(paths, opts.normalize)
+    ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
+    score = alignment_metric(batch)
     report = {
         "mean_matched_volume": score.mean_matched_volume,
         "one_minus_gram": score.one_minus_gram,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EmbeddingParseError, InvalidConfigError
 from .synth import SyntheticSpec
-from .train import TRACE_COLUMNS, TrainConfig, TrainingTrace
+from .train import TraceRow, TrainConfig, TrainingTrace
 
 EMBED_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 1
@@ -127,8 +127,10 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
             n = _read_header(obj, line_no)
             continue
         try:
-            rec_id = str(obj["id"])
-            rec_modality = str(obj["modality"])
+            rec_id, rec_modality = obj["id"], obj["modality"]
+            if type(rec_id) is not str or type(rec_modality) is not str:
+                raise TypeError("id and modality must be JSON strings, "
+                                f"got {json.dumps(rec_id)} and {json.dumps(rec_modality)}")
             vec = np.asarray(obj["vec"], dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise EmbeddingParseError(f"bad record: {exc}", line_no) from exc
@@ -162,33 +164,6 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
 # key=value configs
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "latent_dim": int,
-    "embed_dim": int,
-    "modalities": int,
-    "num_classes": int,
-    "samples": int,
-    "data_seed": int,
-    "paired_dims": int,
-}
-
-_TRAIN_KEYS = {
-    "batch_size": int,
-    "epochs": int,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "weight_decay": float,
-    "lambda": float,
-    "tau_init": float,
-    "seed": int,
-    "loss": str,
-    "eval_max_samples": int,
-    "holdout_fraction": float,
-}
-
-
 def parse_key_values(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; ``#`` starts a comment, blanks skipped."""
     out: dict[str, str] = {}
@@ -211,25 +186,29 @@ def parse_key_values(text: str) -> dict[str, str]:
 def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     """Typed (SyntheticSpec, TrainConfig) from parsed key=value pairs.
 
-    ``seed`` drives training and, unless ``data_seed`` is given, data
-    generation as well.  ``noise_sigma`` accepts a single float or a
-    comma-separated list (one value per modality).
+    Each key is a field of either class, parsed by the type of its default;
+    ``lambda`` sets ``lam`` and ``data_seed`` the spec's ``seed``.  ``seed``
+    drives training and, unless ``data_seed`` is given, data generation as
+    well.  ``noise_sigma`` accepts a single float or a comma-separated list
+    (one value per modality).
     """
     spec_kwargs: dict = {}
     train_kwargs: dict = {}
+    targets = {}  # config key -> (kwargs, field name, parser)
+    for cls, kwargs, renamed in ((SyntheticSpec, spec_kwargs, {"seed": "data_seed"}),
+                                 (TrainConfig, train_kwargs, {"lam": "lambda"})):
+        for f in fields(cls):
+            targets[renamed.get(f.name, f.name)] = (kwargs, f.name, type(f.default))
     for key, value in kv.items():
+        if key not in targets:
+            raise InvalidConfigError(f"unknown config key {key!r}")
+        kwargs, name, parse = targets[key]
         try:
             if key == "noise_sigma":
                 parts = [float(p) for p in value.split(",")]
-                spec_kwargs["noise_sigma"] = parts[0] if len(parts) == 1 else tuple(parts)
-            elif key in _SPEC_KEYS:
-                name = "seed" if key == "data_seed" else key
-                spec_kwargs[name] = _SPEC_KEYS[key](value)
-            elif key in _TRAIN_KEYS:
-                name = "lam" if key == "lambda" else key
-                train_kwargs[name] = _TRAIN_KEYS[key](value)
+                kwargs[name] = parts[0] if len(parts) == 1 else tuple(parts)
             else:
-                raise InvalidConfigError(f"unknown config key {key!r}")
+                kwargs[name] = parse(value)
         except ValueError as exc:
             raise InvalidConfigError(f"bad value for {key!r}: {value!r}") from exc
     if "seed" in train_kwargs and "seed" not in spec_kwargs:
@@ -242,6 +221,8 @@ def read_train_setup(path: str | Path) -> tuple[SyntheticSpec, TrainConfig]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidConfigError(f"{path}: invalid UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise InvalidConfigError(f"{path}: {exc.strerror or exc}") from None
     return build_train_setup(parse_key_values(text))
 
 
@@ -250,11 +231,8 @@ def read_train_setup(path: str | Path) -> tuple[SyntheticSpec, TrainConfig]:
 # ---------------------------------------------------------------------------
 
 def trace_to_csv(trace: TrainingTrace) -> str:
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace.rows:
-        cells = [str(row.epoch)]
-        cells += [repr(getattr(row, c)) for c in TRACE_COLUMNS[1:]]
-        lines.append(",".join(cells))
+    lines = [",".join(f.name for f in fields(TraceRow))]
+    lines += [",".join(map(repr, astuple(row))) for row in trace.rows]
     return "\n".join(lines) + "\n"
 
 

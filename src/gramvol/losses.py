@@ -158,14 +158,13 @@ class DamHead:
     """Two-hidden-layer tanh head mapping concatenated embeddings to a logit.
 
     Input is the anchor embedding followed by the data embeddings of one
-    tuple (k * n values); hidden width defaults to 4 * n; the output goes
+    tuple (k * n values); both hidden layers are 4 * n wide; the output goes
     through a sigmoid, so probabilities are strictly inside (0, 1).
     """
 
-    def __init__(self, k: int, n: int, rng: np.random.Generator, hidden: int | None = None):
-        in_dim = k * n
-        h = 4 * n if hidden is None else hidden
-        self.k, self.n, self.hidden = k, n, h
+    def __init__(self, k: int, n: int, rng: np.random.Generator):
+        in_dim, h = k * n, 4 * n
+        self.k, self.n = k, n
         self.w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
         self.b1 = np.zeros(h)
         self.w2 = rng.standard_normal((h, h)) / math.sqrt(h)

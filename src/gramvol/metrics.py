@@ -1,10 +1,9 @@
 """Retrieval recall, the mean-volume alignment score, and correlation.
 
-Retrieval ranks candidates per query row; a single ranker serves both
-polarities (ascending for volumes, where smaller means more similar, and
-descending for cosines).  Ties are broken by candidate index, which is
-pessimistic for the diagonal: a tied correct match only counts as found
-when no lower-index candidate shares its value.
+Retrieval ranks candidates per query row, smaller values first (volumes,
+where smaller means more similar).  Ties are broken by candidate index,
+which is pessimistic for the diagonal: a tied correct match only counts
+as found when no lower-index candidate shares its value.
 """
 
 from __future__ import annotations
@@ -38,28 +37,22 @@ class AlignmentScore:
     one_minus_gram: float
 
 
-def _diagonal_ranks(values: np.ndarray, ascending: bool) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {values.shape}")
-    v = values if ascending else -values
+def _diagonal_ranks(values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {v.shape}")
     diag = v.diagonal()[:, None]
     better = (v < diag).sum(axis=1)
     ties_before = np.tril(v == diag, -1).sum(axis=1)
     return 1 + better + ties_before
 
 
-def retrieval_recall(
-    values: np.ndarray,
-    ks: Sequence[int] = DEFAULT_KS,
-    ascending: bool = True,
-) -> dict[int, float]:
+def retrieval_recall(values: np.ndarray, ks: Sequence[int] = DEFAULT_KS) -> dict[int, float]:
     """Fraction of query rows whose diagonal entry ranks within the top K.
 
-    The correct match for row i is column i.  ``ascending=True`` treats
-    smaller values as more similar (volumes); pass False for cosines.
+    The correct match for row i is column i; smaller values rank first.
     """
-    ranks = _diagonal_ranks(values, ascending)
+    ranks = _diagonal_ranks(values)
     return {int(k): float(np.mean(ranks <= k)) for k in ks}
 
 

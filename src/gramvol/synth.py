@@ -9,6 +9,7 @@ and which no desk-scale real dataset exposes for verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,12 +55,16 @@ class SyntheticSpec:
             raise InvalidSpecError(f"need at least 2 modalities, got {self.modalities}")
         if self.samples < 1:
             raise InvalidSpecError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.noise_sigma, (int, float)):
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         else:
             object.__setattr__(
                 self, "noise_sigma", tuple(float(s) for s in self.noise_sigma)
             )
+        if not all(math.isfinite(s) for s in self.sigmas()):
+            raise InvalidSpecError(f"noise_sigma must be finite, got {self.noise_sigma!r}")
         if any(s < 0.0 for s in self.sigmas()):
             raise InvalidSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if self.paired_dims < 0:

@@ -44,10 +44,6 @@ from .optim import AdamHyper, AdamState, adam_step
 from .similarity import cross_volumes
 from .synth import MultimodalDataset, split_dataset
 
-TRACE_COLUMNS = (
-    "epoch", "l_d2a", "l_a2d", "l_dam", "matched_vol", "mismatched_vol", "r_at_1",
-)
-
 LOSS_KINDS = ("gram", "cosine")
 
 
@@ -85,6 +81,7 @@ class TrainConfig:
             (self.adam_eps > 0.0, "adam_eps must be > 0"),
             (self.weight_decay >= 0.0, "weight_decay must be >= 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
             (TAU_MIN <= self.tau_init <= TAU_MAX,
              f"tau_init must lie in [{TAU_MIN}, {TAU_MAX}]"),
             (self.loss in LOSS_KINDS, f"loss must be one of {LOSS_KINDS}"),
@@ -196,7 +193,7 @@ def evaluate(
         mismatched = float(np.mean(vols[off_mask]))
     else:
         mismatched = float("nan")
-    r1 = retrieval_recall(vols, ks=(1,), ascending=True)[1]
+    r1 = retrieval_recall(vols, ks=(1,))[1]
 
     l_dam = 0.0
     if loss_kind == "cosine":
@@ -211,35 +208,23 @@ def evaluate(
     return EvalStats(matched, mismatched, r1, l_d2a, l_a2d, l_dam)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def train(
     config: TrainConfig,
     dataset: MultimodalDataset,
-    encoders: Sequence[ToyEncoder] | None = None,
     embed_dim: int = 64,
 ) -> TrainResult:
     """Minibatch training on the configured objective.
 
     Raises ``DivergedTrainingError`` (carrying the partial trace) if any
-    loss value stops being finite or an encoder produces a zero embedding.
+    loss value stops being finite, a float operation overflows or turns
+    invalid, or an encoder produces a zero embedding.
     """
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
-    k = dataset.modalities
 
-    if encoders is None:
-        encoders = [
-            ToyEncoder.init(view.shape[1], embed_dim, rng)
-            for view in dataset.views
-        ]
-    else:
-        encoders = list(encoders)
-        if len(encoders) != k:
-            raise InvalidConfigError(
-                f"got {len(encoders)} encoders for {k} modalities"
-            )
-        embed_dim = encoders[0].w2.shape[1]
-
-    head = DamHead(k, embed_dim, rng) if config.loss == "gram" else None
+    encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
+    head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None
 
     params: dict[str, np.ndarray] = {}
     for mi, enc in enumerate(encoders):
@@ -294,7 +279,7 @@ def train(
                 adam_step(params, grads, state, hyper)
                 params["log_tau"][()] = current_tau().clamped().log_tau
             record(epoch)
-    except (NonFiniteLossError, ZeroVectorError) as exc:
+    except (NonFiniteLossError, FloatingPointError, ZeroVectorError) as exc:
         # A collapsed encoder (zero embedding) is divergence too.
         raise DivergedTrainingError(
             f"training diverged at epoch {epoch}: {exc}", trace=trace

@@ -1,6 +1,7 @@
 """CLI commands end to end, through real files and exit codes."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -93,6 +94,29 @@ class TestVolumeCommand:
         assert res.returncode == 2
         assert "dimension" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_ids_quoted_as_tsv_needs(self, tmp_path):
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        ids = ["plain", "t\tab", "n\nl", "c\rr", 'q"x', "a,b"]
+        rng = np.random.default_rng(0)
+        write_modality(tmp_path / "a.jsonl", "a", ids, unit_rows(rng, 6, 3))
+        write_modality(tmp_path / "b.jsonl", "b", ids, unit_rows(rng, 6, 3))
+        out = tmp_path / "v.tsv"
+        result = CliRunner().invoke(
+            main, ["--out", str(out), "volume", str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+        )
+        assert result.exit_code == 0, result.stderr
+        text = out.read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline=""), delimiter="\t"))
+        assert rows[0] == ["id", "k", "volume"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert all(len(r) == 3 and r[1] == "2" for r in rows[1:])
+        # Ids that need no quoting print as they are.
+        assert text.split("\n")[1].startswith("plain\t2\t")
+        assert "\na,b\t2\t" in text
 
     def test_id_filter(self, tmp_path):
         write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
@@ -360,6 +384,28 @@ class TestTrainCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: boom\n"
 
+    def test_negative_seed_flag_exit_5(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG)
+        res = run_cli("--seed", "-1", "--out", tmp_path / "run", "train", cfg)
+        assert res.returncode == 5
+        assert res.stderr == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("line", ["lr = 1e300", "weight_decay = 1e300", "lambda = 1e300"])
+    def test_overflow_exit_6_with_partial_trace(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(
+            ln for ln in self.CONFIG.splitlines() if not ln.startswith(key)) + f"\n{line}\n")
+        out = tmp_path / "run"
+        res = run_cli("--out", out, "train", cfg)
+        assert res.returncode == 6
+        assert res.stderr.startswith("error: training diverged at epoch 1: overflow")
+        assert res.stderr.count("\n") == 1
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("0,")
+        assert not (out / "checkpoint.bin").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(self.CONFIG)
@@ -488,6 +534,25 @@ class TestReaderErrors:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {bad}:{line_no}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("record", [
+        '{"id": null, "modality": "a", "vec": [1.0, 0.0]}',
+        '{"id": 5, "modality": "a", "vec": [1.0, 0.0]}',
+        '{"id": "p", "modality": ["a"], "vec": [1.0, 0.0]}',
+    ])
+    def test_non_string_id_or_modality_exit_2(self, tmp_path, record):
+        # Read with str(), null would pair with the id "None" and 5 with "5".
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format_version": 1, "n": 2}\n' + record + "\n")
+        write_modality(tmp_path / "b.jsonl", "b", ["None", "5", "p"], np.eye(3)[:, :2])
+        result = CliRunner().invoke(main, ["volume", str(bad), str(tmp_path / "b.jsonl")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {bad}:2: bad record: ")
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["volume", "train"])

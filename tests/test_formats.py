@@ -102,6 +102,17 @@ class TestEmbeddingFiles:
         assert err.value.line_no == 3
         assert "UTF-8" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["id", "modality"])
+    @pytest.mark.parametrize("value", [None, 5, 1.5, True, ["a"], {"a": 1}])
+    def test_id_and_modality_must_be_strings(self, tmp_path, field, value):
+        # str() would make null read as "None" and 5 pair with "5".
+        record = {"id": "a", "modality": "m", "vec": [1.0], field: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"format_version": 1, "n": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(EmbeddingParseError, match="bad record: .*JSON strings") as err:
+            read_embeddings(path)
+        assert err.value.line_no == 2
+
     def test_lines_split_like_text_mode(self, tmp_path):
         # \r and \r\n end lines; U+2028 inside a JSON string does not.
         path = tmp_path / "emb.jsonl"
@@ -148,6 +159,31 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError):
             build_train_setup({"learning_rate": "0.1"})
+
+    def test_every_key_sets_its_field(self):
+        spec, config = build_train_setup({
+            "latent_dim": "5", "embed_dim": "9", "modalities": "2", "num_classes": "3",
+            "noise_sigma": "0.5,0.25", "samples": "77", "data_seed": "6", "paired_dims": "1",
+            "batch_size": "5", "epochs": "4", "lr": "0.5", "beta1": "0.5", "beta2": "0.75",
+            "adam_eps": "0.125", "weight_decay": "0.25", "lambda": "0.375",
+            "tau_init": "2.5", "seed": "8", "loss": "cosine", "eval_max_samples": "33",
+            "holdout_fraction": "0.625",
+        })
+        assert spec == SyntheticSpec(
+            latent_dim=5, embed_dim=9, modalities=2, num_classes=3, noise_sigma=(0.5, 0.25),
+            samples=77, seed=6, paired_dims=1,
+        )
+        assert config == TrainConfig(
+            batch_size=5, epochs=4, lr=0.5, beta1=0.5, beta2=0.75, adam_eps=0.125,
+            weight_decay=0.25, lam=0.375, tau_init=2.5, seed=8, loss="cosine",
+            eval_max_samples=33, holdout_fraction=0.625,
+        )
+        assert type(config.lr) is float and type(config.epochs) is int
+
+    @pytest.mark.parametrize("key", ["lam", "spec.seed", "noise_sigmas"])
+    def test_field_names_are_not_keys_where_renamed(self, key):
+        with pytest.raises(InvalidConfigError, match=f"unknown config key '{key}'"):
+            build_train_setup({key: "1"})
 
     def test_bad_value_rejected(self):
         with pytest.raises(InvalidConfigError):

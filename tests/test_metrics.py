@@ -32,7 +32,7 @@ class TestRetrievalRecall:
         # enumerated ranks: diagonal of row i is preceded by i tied columns
         from gramvol.metrics import _diagonal_ranks
 
-        np.testing.assert_array_equal(_diagonal_ranks(v, True), [1, 2, 3, 4])
+        np.testing.assert_array_equal(_diagonal_ranks(v), [1, 2, 3, 4])
 
     def test_reversed_diagonal_worst_case(self):
         v = np.eye(4)  # matched entries largest, everything else smaller
@@ -46,10 +46,6 @@ class TestRetrievalRecall:
         v = rng.uniform(size=(8, 8))
         r = gv.retrieval_recall(v, ks=(1, 5, 8))
         assert 0.0 <= r[1] <= r[5] <= r[8] <= 1.0
-
-    def test_descending_polarity(self):
-        v = np.eye(3)  # diagonal largest; descending ranks it first
-        assert gv.retrieval_recall(v, ks=(1,), ascending=False)[1] == 1.0
 
     def test_shift_invariance(self, rng):
         v = rng.uniform(size=(5, 5))

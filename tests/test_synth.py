@@ -20,6 +20,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), (0.1, float("nan"), 0.1)])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(InvalidSpecError, match="noise_sigma must be finite"):
+            SyntheticSpec(noise_sigma=sigma)
+
+    def test_negative_seed(self):
+        # numpy's generators take no negative seed.
+        with pytest.raises(InvalidSpecError, match="seed must be >= 0"):
+            SyntheticSpec(seed=-1)
+
     def test_sigma_list_length(self):
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(modalities=3, noise_sigma=(0.1, 0.2)).sigmas()

@@ -146,6 +146,8 @@ class TestTrainLoop:
         ({"lr": math.inf}, "lr must be finite"),
         ({"weight_decay": math.inf}, "weight_decay must be finite"),
         ({"lam": math.nan}, "lambda must be finite"),
+        # numpy's generators take no negative seed.
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_config_rejects_silently_wrong_values(self, kw, needle):
         with pytest.raises(InvalidConfigError, match=needle):
@@ -214,6 +216,14 @@ class TestTrainLoop:
             gv.train(tiny_config(epochs=2), broken, embed_dim=16)
         assert err.value.trace is not None
         assert len(err.value.trace.rows) >= 1
+
+    @pytest.mark.parametrize("kw", [{"lr": 1e300}, {"weight_decay": 1e300}, {"lam": 1e300}])
+    def test_overflow_diverges(self, kw):
+        # An overflow would otherwise warn and leave non-finite parameters.
+        ds = gv.generate_dataset(tiny_spec())
+        with pytest.raises(DivergedTrainingError, match="overflow") as err:
+            gv.train(tiny_config(epochs=1, **kw), ds, embed_dim=16)
+        assert [r.epoch for r in err.value.trace.rows] == [0]
 
     def test_tau_clamped_into_range(self):
         ds = gv.generate_dataset(tiny_spec())
