@@ -180,7 +180,7 @@ TRAIN_KEYS = {
 UNKNOWN_KEYS = ["lam", "spec.seed", "hidden", "encoders", "learning_rate"]
 
 
-def run_train(tmp: str, config: str):
+def run_train(tmp, config: str):
     path = Path(tmp) / "train.cfg"
     path.write_text(config)
     out = Path(tmp) / "run"
