@@ -17,7 +17,7 @@ from .metrics import (
     pearson,
     retrieval_recall,
 )
-from .optim import AdamHyper, AdamState, adam_step
+from .optim import AdamState, adam_step
 from .similarity import (
     ModalityBatch,
     MultimodalBatch,
@@ -46,7 +46,6 @@ from .volume import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamHyper",
     "AdamState",
     "AlignmentScore",
     "DamHead",

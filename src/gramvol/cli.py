@@ -29,7 +29,8 @@ are stable, and the command group maps each library error to one:
        ``SyntheticSpec``/``TrainConfig`` (``lambda`` names ``lam`` and
        ``data_seed`` the spec's ``seed``) or holds a bad value (batch_size
        below 2, tau_init outside [1e-3, 10], a seed below 0, a non-finite
-       float)
+       float, a noise_sigma that overflows the generated data, a training
+       split of fewer than 2 samples)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)

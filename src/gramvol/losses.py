@@ -35,9 +35,6 @@ from .volume import VolumeBatch
 TAU_MIN = 1e-3
 TAU_MAX = 10.0
 
-#: Default temperature initialization (standard contrastive choice).
-TAU_INIT = 0.07
-
 #: Default weight of the matching term in the combined objective.
 LAMBDA_DAM = 0.1
 
@@ -46,7 +43,7 @@ LAMBDA_DAM = 0.1
 class Temperature:
     """Learnable softmax temperature, parameterized by its logarithm."""
 
-    log_tau: float = math.log(TAU_INIT)
+    log_tau: float
 
     @property
     def tau(self) -> float:

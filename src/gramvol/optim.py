@@ -1,8 +1,9 @@
-"""Adaptive-moment optimizer with decoupled weight decay, from scratch.
+"""Adaptive-moment optimizer (Adam), from scratch.
 
 Kept in-repo (no framework) so the finite-difference gradient checks cover
 the entire training path.  Parameters live in a flat name -> array dict;
-scalars are 0-d arrays.
+scalars are 0-d arrays.  Only the learning rate is a setting: the moment
+decays and the denominator guard are Adam's usual constants.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -40,28 +36,17 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    hyper: AdamHyper,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One update with bias-corrected moments; decay is applied to the
-    parameter directly (decoupled), not mixed into the gradient.
-
-    Updates arrays in place and returns them for chaining.  Missing grad
-    entries are treated as zero gradient (decay still applies).
-    """
+    lr: float,
+) -> None:
+    """One update with bias-corrected moments, in place on ``params`` and
+    ``state``.  Parameters without a grad entry are left as they are."""
     state.t += 1
-    c1 = 1.0 - hyper.beta1 ** state.t
-    c2 = 1.0 - hyper.beta2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if hyper.weight_decay != 0.0:
-            p -= hyper.lr * hyper.weight_decay * p
-        if g is None:
-            continue
-        m = state.m[name]
-        v = state.v[name]
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * np.square(g)
-        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
-    return params, state
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
+    for name, g in grads.items():
+        p, m, v = params[name], state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -106,11 +105,10 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class MultimodalDataset:
-    """Raw per-modality views plus class labels and sample ids."""
+    """Raw per-modality views plus class labels; row i is sample i."""
 
     views: tuple[np.ndarray, ...]  # k arrays of shape (N, raw_dim)
     labels: np.ndarray  # (N,) int
-    ids: np.ndarray  # (N,) int
 
     @property
     def num_samples(self) -> int:
@@ -120,11 +118,9 @@ class MultimodalDataset:
     def modalities(self) -> int:
         return len(self.views)
 
-    def subset(self, idx: np.ndarray) -> "MultimodalDataset":
+    def subset(self, idx: slice) -> "MultimodalDataset":
         return MultimodalDataset(
-            views=tuple(v[idx] for v in self.views),
-            labels=self.labels[idx],
-            ids=self.ids[idx],
+            views=tuple(v[idx] for v in self.views), labels=self.labels[idx]
         )
 
 
@@ -137,29 +133,19 @@ def _draw_full_rank(rng: np.random.Generator, dim: int) -> np.ndarray:
     raise InvalidSpecError("could not draw a full-rank projection")
 
 
-def generate_dataset(
-    spec: SyntheticSpec,
-    projections: Sequence[np.ndarray] | None = None,
-) -> MultimodalDataset:
+def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     """Deterministic dataset for ``spec``.
 
     Per sample: class c, shared latent z = mu_c + eps; modality i sees
-    ``z @ P_i.T + sigma_i * noise``.  ``projections`` overrides the drawn
-    P_i (useful to study identical or adversarial views).
+    ``z @ P_i.T + sigma_i * noise``.  Raises ``InvalidSpecError`` when a
+    noise level is so large that a view overflows.
     """
     rng = np.random.default_rng(spec.seed)
     d, k, n_samples = spec.latent_dim, spec.modalities, spec.samples
     sigmas = spec.sigmas()
 
     mu = rng.standard_normal((spec.num_classes, d))
-    if projections is None:
-        projections = [_draw_full_rank(rng, d) for _ in range(k)]
-    else:
-        projections = [np.asarray(p, dtype=np.float64) for p in projections]
-        if len(projections) != k:
-            raise InvalidSpecError(
-                f"got {len(projections)} projections for {k} modalities"
-            )
+    projections = [_draw_full_rank(rng, d) for _ in range(k)]
 
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     z = mu[labels] + rng.standard_normal((n_samples, d))
@@ -168,29 +154,28 @@ def generate_dataset(
     for i in range(k):
         view = (z * masks[i]) @ projections[i].T
         if sigmas[i] > 0.0:
-            view = view + sigmas[i] * rng.standard_normal((n_samples, d))
+            try:
+                with np.errstate(over="raise"):
+                    view = view + sigmas[i] * rng.standard_normal((n_samples, d))
+            except FloatingPointError:
+                raise InvalidSpecError(
+                    f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
+                ) from None
         else:
             # Keep the stream position independent of sigma values.
             rng.standard_normal((n_samples, d))
         views.append(view)
 
-    return MultimodalDataset(
-        views=tuple(views),
-        labels=labels,
-        ids=np.arange(n_samples),
-    )
+    return MultimodalDataset(views=tuple(views), labels=labels)
 
 
 def split_dataset(
     dataset: MultimodalDataset, holdout_fraction: float = 0.2
 ) -> tuple[MultimodalDataset, MultimodalDataset]:
-    """Fixed split by sample id: the leading ids train, the rest hold out."""
+    """Fixed split by position: the leading samples train, the rest hold out."""
     if not (0.0 < holdout_fraction < 1.0):
         raise InvalidSpecError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     n = dataset.num_samples
     cut = int(round(n * (1.0 - holdout_fraction)))
     cut = min(max(cut, 1), n - 1)
-    order = np.argsort(dataset.ids, kind="stable")
-    train_idx = order[:cut]
-    held_idx = order[cut:]
-    return dataset.subset(train_idx), dataset.subset(held_idx)
+    return dataset.subset(slice(cut)), dataset.subset(slice(cut, n))

@@ -1,10 +1,10 @@
 """Deterministic training loop for the synthetic alignment task.
 
 Trains one encoder per modality (plus the matching head and the
-temperature) with minibatch AdamW on the combined volume-based objective,
+temperature) with minibatch Adam on the combined volume-based objective,
 or on the pairwise-cosine objective for the baseline.  Everything is
-driven by one seed: dataset split order, parameter init, and batch
-shuffling, so identical seeds give bit-identical traces.
+driven by one seed: parameter init and batch shuffling (the split is
+fixed by position), so identical seeds give bit-identical traces.
 
 Each epoch ends with an evaluation on a fixed prefix of the held-out
 split: the run's own losses, mean matched / mismatched volume, and
@@ -40,7 +40,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import retrieval_recall
-from .optim import AdamHyper, AdamState, adam_step
+from .optim import AdamState, adam_step
 from .similarity import cross_volumes
 from .synth import MultimodalDataset, split_dataset
 
@@ -54,10 +54,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     lam: float = 0.1
     tau_init: float = 1.0
     seed: int = 0
@@ -76,10 +72,6 @@ class TrainConfig:
             (self.batch_size >= 2, "batch_size must be >= 2"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.lr >= 0.0, "lr must be >= 0"),
-            (0.0 <= self.beta1 < 1.0, "beta1 must lie in [0, 1)"),
-            (0.0 <= self.beta2 < 1.0, "beta2 must lie in [0, 1)"),
-            (self.adam_eps > 0.0, "adam_eps must be > 0"),
-            (self.weight_decay >= 0.0, "weight_decay must be >= 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
             (self.seed >= 0, "seed must be >= 0"),
             (TAU_MIN <= self.tau_init <= TAU_MAX,
@@ -91,12 +83,6 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise InvalidConfigError(msg)
-
-    def adam_hyper(self) -> AdamHyper:
-        return AdamHyper(
-            lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-            eps=self.adam_eps, weight_decay=self.weight_decay,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +112,6 @@ class TrainingTrace:
 class TrainResult:
     trace: TrainingTrace
     encoders: list[ToyEncoder]
-    head: DamHead | None
-    tau: Temperature
     params: dict[str, np.ndarray]
 
 
@@ -216,12 +200,19 @@ def train(
 ) -> TrainResult:
     """Minibatch training on the configured objective.
 
-    Raises ``DivergedTrainingError`` (carrying the partial trace) if any
-    loss value stops being finite, a float operation overflows or turns
-    invalid, or an encoder produces a zero embedding.
+    Raises ``InvalidConfigError`` when the training split holds fewer than
+    2 samples (no contrastive gradient), and ``DivergedTrainingError``
+    (carrying the partial trace) if any loss value stops being finite, a
+    float operation overflows or turns invalid, or an encoder produces a
+    zero embedding.
     """
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
+    if train_ds.num_samples < 2:
+        raise InvalidConfigError(
+            f"the training split holds {train_ds.num_samples} of {dataset.num_samples} "
+            f"samples (holdout_fraction {config.holdout_fraction}); it needs at least 2"
+        )
 
     encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
     head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None
@@ -236,7 +227,6 @@ def train(
     params["log_tau"] = np.array(math.log(config.tau_init))
 
     state = AdamState.init(params)
-    hyper = config.adam_hyper()
 
     def current_tau() -> Temperature:
         return Temperature(log_tau=float(params["log_tau"]))
@@ -276,7 +266,7 @@ def train(
                         grads[f"head.{name}"] = g
                 grads["log_tau"] = np.array(report.grad_log_tau)
 
-                adam_step(params, grads, state, hyper)
+                adam_step(params, grads, state, config.lr)
                 params["log_tau"][()] = current_tau().clamped().log_tau
             record(epoch)
     except (NonFiniteLossError, FloatingPointError, ZeroVectorError) as exc:
@@ -285,7 +275,4 @@ def train(
             f"training diverged at epoch {epoch}: {exc}", trace=trace
         ) from exc
 
-    return TrainResult(
-        trace=trace, encoders=encoders, head=head,
-        tau=current_tau(), params=params,
-    )
+    return TrainResult(trace=trace, encoders=encoders, params=params)

@@ -16,10 +16,13 @@ span D.  Each sample's data rows are factored once by a row-wise
 Gram-Schmidt pass on their inner products, so a B x B cross-volume matrix
 costs B small factorizations plus one (B, B, k-1) contraction, and a
 single tuple is the B = 1 case.  Rank deficiency is detected row by row:
-a data row's pivot at or below k * eps * (its squared norm), or an
-anchor's residual at or below k * eps * |a|^2, gives a volume of exactly 0
-instead of roundoff noise.  Each row is judged against its own norm, so
-the test does not change when rows are rescaled.
+a data row's pivot at or below (k + n) * eps * (its squared norm), or an
+anchor's residual at or below (k + n) * eps * |a|^2, gives a volume of
+exactly 0 instead of roundoff noise.  The n term covers the rounding of
+the length-n inner products the pivots are made of (an n-term sum is off
+by up to about n * eps / 2 of its rows' norms), the k term the at most k
+elimination steps after them.  Each row is judged against its own norm,
+so the test does not change when rows are rescaled.
 
 The contractions run on BLAS.  Every inner product of the forward pass is
 one ``ddot`` call over an entry's own two vectors (``_dots``), so a cross
@@ -191,9 +194,11 @@ class VolumeBatch:
         # the cross form, the sample itself (a length-1 axis) when paired.
         a2 = a2[:, None] if paired else a2[None, :]
         # Each pivot and residual is judged against its own row's squared
-        # norm, so the test does not depend on the rows' relative scales.
-        tol_d = k * _EPS * g[:, range(k - 1), range(k - 1)]
-        tol_s = k * _EPS * a2
+        # norm, so the test does not depend on the rows' relative scales;
+        # (k + n) * eps bounds the roundoff of the dots and the elimination.
+        tol = (k + n) * _EPS
+        tol_d = tol * g[:, range(k - 1), range(k - 1)]
+        tol_s = tol * a2
         u = np.zeros((b, k - 1, k - 1))
         piv = np.empty((b, k - 1))
         # A pivot at or below the tolerance is replaced by 1 in ``p``, so

@@ -310,6 +310,29 @@ class TestTrainCommand:
         assert result.stderr.startswith(f"error: {key}") and result.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "weight_decay"])
+    def test_removed_adam_keys_exit_5(self, tmp_path, key):
+        # Adam's betas, epsilon and weight decay are constants, not settings.
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG + f"{key} = 0.5\n")
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(tmp_path / "run"), "train", str(cfg)])
+        assert result.exit_code == 5
+        assert result.stderr == f"error: unknown config key '{key}'\n"
+
+    def test_tiny_training_split_exit_5(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG.replace("samples = 96", "samples = 2"))
+        res = run_cli("--out", tmp_path / "run", "train", cfg)
+        assert res.returncode == 5
+        assert res.stderr == (
+            "error: the training split holds 1 of 2 samples (holdout_fraction 0.2); "
+            "it needs at least 2\n"
+        )
+
     def test_diverged_training_exit_6(self, tmp_path, monkeypatch):
         # The bounded toy architecture cannot diverge from a config alone,
         # so the abort path is exercised by stubbing the trainer.
@@ -391,7 +414,7 @@ class TestTrainCommand:
         assert res.returncode == 5
         assert res.stderr == "error: seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("line", ["lr = 1e300", "weight_decay = 1e300", "lambda = 1e300"])
+    @pytest.mark.parametrize("line", ["lr = 1e300", "lambda = 1e300"])
     def test_overflow_exit_6_with_partial_trace(self, tmp_path, line):
         key = line.split(" = ")[0]
         cfg = tmp_path / "train.cfg"

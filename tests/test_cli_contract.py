@@ -158,17 +158,15 @@ TRAIN_KEYS = {
     "modalities": ("3", _ints(2, 3), ["1", "0", *NOT_INT]),
     "num_classes": ("2", _ints(2, 3), ["1", "-2", *NOT_INT]),
     "noise_sigma": ("0.05", _floats(0.0, 0.2),
-                    ["-0.1", "0.1,0.1,0.1,0.1", "0.1,nan,0.1", "0.1,0.1,inf", *NOT_FINITE]),
-    "samples": ("24", _ints(1, 128), ["0", "-5", *NOT_INT]),
+                    ["-0.1", "0.1,0.1,0.1,0.1", "0.1,nan,0.1", "0.1,0.1,inf", "1e308",
+                     *NOT_FINITE]),
+    # 1 and 2 samples leave fewer than 2 to train on.
+    "samples": ("24", _ints(3, 128), ["0", "-5", "1", "2", *NOT_INT]),
     "data_seed": ("1", _ints(0, 9), ["-1", *NOT_INT]),
     "paired_dims": ("0", _ints(0, 1), ["-1", "50", *NOT_INT]),
     "batch_size": ("8", _ints(2, 64), ["1", "0", "-2", *NOT_INT]),
     "epochs": ("0", _ints(0, 1), ["-1", *NOT_INT]),
     "lr": ("0.01", _floats(0.0, 0.05), ["-0.1", *NOT_FINITE]),
-    "beta1": ("0.9", _floats(0.0, 0.95), ["1.0", "-0.1", *NOT_FINITE]),
-    "beta2": ("0.999", _floats(0.9, 0.999), ["1.0", "1.5", *NOT_FINITE]),
-    "adam_eps": ("1e-08", _floats(1e-10, 1e-6), ["0.0", "-1e-8", *NOT_FINITE]),
-    "weight_decay": ("0.0", _floats(0.0, 0.01), ["-1", *NOT_FINITE]),
     "lambda": ("0.1", _floats(0.0, 1.0), ["-0.5", *NOT_FINITE]),
     "tau_init": ("1.0", _floats(0.01, 2.0), ["1e-300", "0", "11", "-1", *NOT_FINITE]),
     "seed": ("0", _ints(0, 9), ["-1", *NOT_INT]),

@@ -164,8 +164,7 @@ class TestConfigParsing:
         spec, config = build_train_setup({
             "latent_dim": "5", "embed_dim": "9", "modalities": "2", "num_classes": "3",
             "noise_sigma": "0.5,0.25", "samples": "77", "data_seed": "6", "paired_dims": "1",
-            "batch_size": "5", "epochs": "4", "lr": "0.5", "beta1": "0.5", "beta2": "0.75",
-            "adam_eps": "0.125", "weight_decay": "0.25", "lambda": "0.375",
+            "batch_size": "5", "epochs": "4", "lr": "0.5", "lambda": "0.375",
             "tau_init": "2.5", "seed": "8", "loss": "cosine", "eval_max_samples": "33",
             "holdout_fraction": "0.625",
         })
@@ -174,8 +173,7 @@ class TestConfigParsing:
             samples=77, seed=6, paired_dims=1,
         )
         assert config == TrainConfig(
-            batch_size=5, epochs=4, lr=0.5, beta1=0.5, beta2=0.75, adam_eps=0.125,
-            weight_decay=0.25, lam=0.375, tau_init=2.5, seed=8, loss="cosine",
+            batch_size=5, epochs=4, lr=0.5, lam=0.375, tau_init=2.5, seed=8, loss="cosine",
             eval_max_samples=33, holdout_fraction=0.625,
         )
         assert type(config.lr) is float and type(config.epochs) is int

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -142,8 +142,13 @@ class TestGramianVolume:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
-        st.floats(-9.0, 0.0), st.booleans(), st.booleans(),
+        st.floats(-9.0, 0.0), st.booleans(), st.sampled_from([None, "data", "anchor"]),
     )
+    # Exactly collinear rows whose computed pivot or residual is not 0 but a
+    # few eps of rounding from the length-n inner products.
+    @example(k=3, n=6, seed=12449290, log_gap=-1.0, unit=True, collinear="data")
+    @example(k=2, n=6, seed=8, log_gap=-1.0, unit=True, collinear="anchor")
+    @example(k=3, n=6, seed=69, log_gap=-1.0, unit=True, collinear="anchor")
     def test_matches_cofactor_oracle_near_degenerate(
         self, k, n, seed, log_gap, unit, collinear
     ):
@@ -151,6 +156,8 @@ class TestGramianVolume:
         # run from about 1e-9 to 1.  Non-unit rows scale the tolerance with
         # the Hadamard bound (the product of squared row norms); the rank
         # tolerance is per row, so rows of different lengths need no more.
+        # ``collinear`` makes two data rows, or the anchor (row 0) and a data
+        # row, exact multiples of each other: volume 0.
         r = np.random.default_rng(seed)
         rows = unit_rows(r, k, n)
         if k > 1:
@@ -159,9 +166,12 @@ class TestGramianVolume:
             rows = rows[r.permutation(k)]
         if not unit:
             rows *= 10.0 ** r.uniform(-2.0, 2.0, size=(k, 1))
-        collinear = collinear and k >= 3
-        if collinear:
-            rows[-1] = r.uniform(-3.0, 3.0) * rows[-2]  # two data rows
+        if collinear == "data" and k >= 3:
+            rows[-1] = r.uniform(-3.0, 3.0) * rows[-2]
+        elif collinear == "anchor" and k >= 2:
+            rows[0] = r.uniform(-3.0, 3.0) * rows[1]
+        else:
+            collinear = None
         vol = gv.gramian_volume(rows)
         assert vol.value == math.sqrt(vol.gram_det)
         if k > n or collinear:
