@@ -210,7 +210,9 @@ class TestTrainLoop:
         assert err.value.trace is not None
         assert len(err.value.trace.rows) >= 1
 
-    @pytest.mark.parametrize("kw", [{"lr": 1e300}, {"lam": 1e300}])
+    @pytest.mark.parametrize(
+        "kw", [{"lr": 1e300}, {"lam": 1e300}, {"lr": 1e300, "loss": "cosine"}]
+    )
     def test_overflow_diverges(self, kw):
         # An overflow would otherwise warn and leave non-finite parameters.
         ds = gv.generate_dataset(tiny_spec())
