@@ -28,9 +28,10 @@ are stable, and the command group maps each library error to one:
        cannot be read, is not UTF-8, has a key other than the fields of
        ``SyntheticSpec``/``TrainConfig`` (``lambda`` names ``lam`` and
        ``data_seed`` the spec's ``seed``) or holds a bad value (batch_size
-       below 2, tau_init outside [1e-3, 10], a seed below 0, a non-finite
-       float, a noise_sigma that overflows the generated data, a training
-       split of fewer than 2 samples)
+       or eval_max_samples below 2, tau_init outside [1e-3, 10], a seed
+       below 0, a non-finite float, a noise_sigma that overflows the
+       generated data, a training or held-out split of fewer than 2
+       samples)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)
@@ -42,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -340,5 +342,12 @@ def cmd_metric(opts: CliOptions, paths):
     click.echo(line)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: freeze the import-time heap, then run ``main``.
+
+    Everything imported so far lives until the process ends, so moving it
+    to the permanent generation spares the full collections at interpreter
+    exit a walk over it.
+    """
+    gc.freeze()
     main()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,8 +28,14 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then rename it there.
+
+    The file is created with mode 0o666 less the umask, as ``open(path,
+    "w")`` would create it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -77,7 +77,8 @@ class TrainConfig:
             (TAU_MIN <= self.tau_init <= TAU_MAX,
              f"tau_init must lie in [{TAU_MIN}, {TAU_MAX}]"),
             (self.loss in LOSS_KINDS, f"loss must be one of {LOSS_KINDS}"),
-            (self.eval_max_samples >= 1, "eval_max_samples must be >= 1"),
+            # One evaluated sample has no mismatched tuple and no negative.
+            (self.eval_max_samples >= 2, "eval_max_samples must be >= 2"),
             (0.0 < self.holdout_fraction < 1.0, "holdout_fraction must be in (0, 1)"),
         ]
         for ok, msg in checks:
@@ -201,18 +202,20 @@ def train(
     """Minibatch training on the configured objective.
 
     Raises ``InvalidConfigError`` when the training split holds fewer than
-    2 samples (no contrastive gradient), and ``DivergedTrainingError``
+    2 samples (no contrastive gradient) or the held-out split does (no
+    mismatched tuple to evaluate), and ``DivergedTrainingError``
     (carrying the partial trace) if any loss value stops being finite, a
     float operation overflows or turns invalid, or an encoder produces a
     zero embedding.
     """
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
-    if train_ds.num_samples < 2:
-        raise InvalidConfigError(
-            f"the training split holds {train_ds.num_samples} of {dataset.num_samples} "
-            f"samples (holdout_fraction {config.holdout_fraction}); it needs at least 2"
-        )
+    for name, part in (("training", train_ds), ("held-out", held_ds)):
+        if part.num_samples < 2:
+            raise InvalidConfigError(
+                f"the {name} split holds {part.num_samples} of {dataset.num_samples} "
+                f"samples (holdout_fraction {config.holdout_fraction}); it needs at least 2"
+            )
 
     encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
     head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None

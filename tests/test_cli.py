@@ -1,6 +1,7 @@
 """CLI commands end to end, through real files and exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -332,6 +333,17 @@ class TestTrainCommand:
             "error: the training split holds 1 of 2 samples (holdout_fraction 0.2); "
             "it needs at least 2\n"
         )
+
+    def test_tiny_held_out_split_exit_5(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG.replace("samples = 96", "samples = 3"))
+        res = run_cli("--out", tmp_path / "run", "train", cfg)
+        assert res.returncode == 5
+        assert res.stderr == (
+            "error: the held-out split holds 1 of 3 samples (holdout_fraction 0.2); "
+            "it needs at least 2\n"
+        )
+        assert not (tmp_path / "run" / "trace.csv").exists()
 
     def test_diverged_training_exit_6(self, tmp_path, monkeypatch):
         # The bounded toy architecture cannot diverge from a config alone,
@@ -682,3 +694,33 @@ class TestUnwritableOut:
         ]
         assert res.stdout == ""
         assert not (tmp_path / "nodir").exists()
+
+
+class TestProcessEntry:
+    def test_run_freezes_before_dispatch(self, monkeypatch):
+        import gramvol.cli as cli_mod
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "main", lambda: seen.append(gc.get_freeze_count()))
+        before = gc.get_freeze_count()
+        try:
+            cli_mod.run()
+        finally:
+            gc.unfreeze()
+        assert len(seen) == 1 and seen[0] > before
+
+    def test_in_process_main_does_not_freeze(self, orthogonal_pair_files):
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        before = gc.get_freeze_count()
+        paths = [str(orthogonal_pair_files / n) for n in ("a.jsonl", "m.jsonl")]
+        result = CliRunner().invoke(main, ["metric", *paths])
+        assert result.exit_code == 0, result.output
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_help(self):
+        res = run_cli("--help")
+        assert res.returncode == 0, res.stderr
+        assert "Volume-based multimodal similarity toolbox." in res.stdout

@@ -160,8 +160,9 @@ TRAIN_KEYS = {
     "noise_sigma": ("0.05", _floats(0.0, 0.2),
                     ["-0.1", "0.1,0.1,0.1,0.1", "0.1,nan,0.1", "0.1,0.1,inf", "1e308",
                      *NOT_FINITE]),
-    # 1 and 2 samples leave fewer than 2 to train on.
-    "samples": ("24", _ints(3, 128), ["0", "-5", "1", "2", *NOT_INT]),
+    # 1 and 2 samples leave fewer than 2 to train on, 3 fewer than 2 to hold
+    # out; from 16 on, every holdout_fraction drawn leaves at least 2 of each.
+    "samples": ("24", _ints(16, 128), ["0", "-5", "1", "2", "3", *NOT_INT]),
     "data_seed": ("1", _ints(0, 9), ["-1", *NOT_INT]),
     "paired_dims": ("0", _ints(0, 1), ["-1", "50", *NOT_INT]),
     "batch_size": ("8", _ints(2, 64), ["1", "0", "-2", *NOT_INT]),
@@ -171,7 +172,7 @@ TRAIN_KEYS = {
     "tau_init": ("1.0", _floats(0.01, 2.0), ["1e-300", "0", "11", "-1", *NOT_FINITE]),
     "seed": ("0", _ints(0, 9), ["-1", *NOT_INT]),
     "loss": ("gram", st.sampled_from(["gram", "cosine"]), ["volume", "GRAM", "1"]),
-    "eval_max_samples": ("8", _ints(1, 64), ["0", *NOT_INT]),
+    "eval_max_samples": ("8", _ints(2, 64), ["0", "1", *NOT_INT]),
     "holdout_fraction": ("0.2", _floats(0.1, 0.5), ["0", "1", "1.5", *NOT_FINITE]),
 }
 # Field names that are not keys, and keys that never were.

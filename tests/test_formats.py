@@ -1,6 +1,7 @@
 """Embedding files, configs, traces, and checkpoints."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gramvol import SyntheticSpec, TrainConfig
 from gramvol.errors import EmbeddingParseError, InvalidConfigError
 from gramvol.formats import (
+    _atomic_write_text,
     build_train_setup,
     parse_key_values,
     read_embeddings,
@@ -238,3 +240,27 @@ class TestCheckpoints:
         write_checkpoint(tmp_path / "c.bin", tmp_path / "c.json", params)
         raw = (tmp_path / "c.bin").read_bytes()
         assert raw == np.array([1.0, 2.0], dtype="<f8").tobytes()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_trace_csv(tmp_path / "trace.csv", TrainingTrace(rows=[]))
+            write_checkpoint(tmp_path / "c.bin", tmp_path / "c.json", {"w": np.ones(2)})
+            write_embeddings(tmp_path / "e.jsonl", 2, [("a", "m", [1.0, 0.0])])
+        finally:
+            os.umask(old)
+        for name in ("trace.csv", "c.bin", "c.json", "e.jsonl"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("no rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="no rename"):
+            _atomic_write_text(tmp_path / "out.csv", "x\n")
+        assert list(tmp_path.iterdir()) == []
