@@ -26,7 +26,6 @@ from .similarity import (
 )
 from .synth import MultimodalDataset, SyntheticSpec, generate_dataset, split_dataset
 from .train import (
-    EvalStats,
     TraceRow,
     TrainConfig,
     TrainingTrace,
@@ -49,7 +48,6 @@ __all__ = [
     "AdamState",
     "AlignmentScore",
     "DamHead",
-    "EvalStats",
     "LossReport",
     "ModalityBatch",
     "MultimodalBatch",

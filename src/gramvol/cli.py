@@ -66,12 +66,13 @@ from .errors import (
 )
 from .formats import (
     _atomic_write_text,
+    build_train_setup,
     read_embeddings,
-    read_train_setup,
+    read_key_values,
     write_checkpoint,
     write_trace_csv,
 )
-from .metrics import alignment_metric, retrieval_recall
+from .metrics import DEFAULT_KS, alignment_metric, retrieval_recall
 from .similarity import ModalityBatch, MultimodalBatch, cross_volume_matrix
 from .synth import generate_dataset
 from .train import train as run_training
@@ -275,10 +276,10 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
 @click.pass_obj
 def cmd_train(opts: CliOptions, config_path):
     """Generate the synthetic dataset and train; write trace + checkpoint."""
-    spec, config = read_train_setup(config_path)
+    kv = read_key_values(config_path)
     if opts.seed is not None:
-        spec = dataclasses.replace(spec, seed=opts.seed)
-        config = dataclasses.replace(config, seed=opts.seed)
+        kv["seed"] = str(opts.seed)
+    spec, config = build_train_setup(kv)
     out_dir = opts.out if opts.out is not None else Path(".")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,7 +302,8 @@ def cmd_train(opts: CliOptions, config_path):
 @main.command("eval")
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @click.option("--anchor", "anchor_name", required=True)
-@click.option("--ks", default="1,5,10", help="Comma-separated recall cutoffs.")
+@click.option("--ks", default=",".join(map(str, DEFAULT_KS)),
+              help="Comma-separated recall cutoffs.")
 @click.pass_obj
 def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     """Retrieval recall over the cross-volume matrix (diagonal = match)."""

@@ -1,6 +1,6 @@
 """Small per-modality encoders producing unit-norm embeddings.
 
-One hidden tanh layer (width 128 by default) followed by a linear
+One hidden tanh layer (``HIDDEN_WIDTH`` wide) followed by a linear
 projection and row normalization: the smallest architecture that can
 rotate an arbitrary full-rank view of the shared latent into alignment.
 """
@@ -31,22 +31,16 @@ class ToyEncoder:
     b2: np.ndarray  # (embed_dim,)
 
     @classmethod
-    def init(
-        cls,
-        raw_dim: int,
-        embed_dim: int,
-        rng: np.random.Generator,
-        hidden: int = HIDDEN_WIDTH,
-    ) -> "ToyEncoder":
+    def init(cls, raw_dim: int, embed_dim: int, rng: np.random.Generator) -> "ToyEncoder":
         enc = cls(
-            w1=rng.standard_normal((raw_dim, hidden)) / math.sqrt(raw_dim),
-            b1=np.zeros(hidden),
-            w2=rng.standard_normal((hidden, embed_dim)) / math.sqrt(hidden),
+            w1=rng.standard_normal((raw_dim, HIDDEN_WIDTH)) / math.sqrt(raw_dim),
+            b1=np.zeros(HIDDEN_WIDTH),
+            w2=rng.standard_normal((HIDDEN_WIDTH, embed_dim)) / math.sqrt(HIDDEN_WIDTH),
             b2=np.zeros(embed_dim),
         )
         logger.info(
             "encoder %d->%d->%d with %d parameters",
-            raw_dim, hidden, embed_dim, enc.param_count(),
+            raw_dim, HIDDEN_WIDTH, embed_dim, enc.param_count(),
         )
         return enc
 

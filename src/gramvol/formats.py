@@ -194,8 +194,9 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     Each key is a field of either class, parsed by the type of its default;
     ``lambda`` sets ``lam`` and ``data_seed`` the spec's ``seed``.  ``seed``
     drives training and, unless ``data_seed`` is given, data generation as
-    well.  ``noise_sigma`` accepts a single float or a comma-separated list
-    (one value per modality).
+    well; the CLI's ``--seed S`` reaches this rule as the key ``seed = S``.
+    ``noise_sigma`` accepts a single float or a comma-separated list (one
+    value per modality).
     """
     spec_kwargs: dict = {}
     train_kwargs: dict = {}
@@ -221,14 +222,15 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     return SyntheticSpec(**spec_kwargs), TrainConfig(**train_kwargs)
 
 
-def read_train_setup(path: str | Path) -> tuple[SyntheticSpec, TrainConfig]:
+def read_key_values(path: str | Path) -> dict[str, str]:
+    """``parse_key_values`` on the file at ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidConfigError(f"{path}: invalid UTF-8: {exc.reason}") from None
     except OSError as exc:
         raise InvalidConfigError(f"{path}: {exc.strerror or exc}") from None
-    return build_train_setup(parse_key_values(text))
+    return parse_key_values(text)
 
 
 # ---------------------------------------------------------------------------

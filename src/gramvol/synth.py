@@ -59,9 +59,12 @@ class SyntheticSpec:
         if isinstance(self.noise_sigma, (int, float)):
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         else:
-            object.__setattr__(
-                self, "noise_sigma", tuple(float(s) for s in self.noise_sigma)
-            )
+            sigmas = tuple(float(s) for s in self.noise_sigma)
+            if len(sigmas) != self.modalities:
+                raise InvalidSpecError(
+                    f"noise_sigma has {len(sigmas)} entries for {self.modalities} modalities"
+                )
+            object.__setattr__(self, "noise_sigma", sigmas)
         if not all(math.isfinite(s) for s in self.sigmas()):
             raise InvalidSpecError(f"noise_sigma must be finite, got {self.noise_sigma!r}")
         if any(s < 0.0 for s in self.sigmas()):
@@ -81,14 +84,9 @@ class SyntheticSpec:
 
     def sigmas(self) -> tuple[float, ...]:
         """Per-modality noise levels, broadcasting a scalar."""
-        if isinstance(self.noise_sigma, (int, float)):
-            return (float(self.noise_sigma),) * self.modalities
-        sigmas = tuple(float(s) for s in self.noise_sigma)
-        if len(sigmas) != self.modalities:
-            raise InvalidSpecError(
-                f"noise_sigma has {len(sigmas)} entries for {self.modalities} modalities"
-            )
-        return sigmas
+        if isinstance(self.noise_sigma, float):
+            return (self.noise_sigma,) * self.modalities
+        return self.noise_sigma
 
     def visibility_masks(self) -> list[np.ndarray]:
         """Per-modality 0/1 masks over latent coordinates."""
@@ -170,9 +168,10 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
 
 
 def split_dataset(
-    dataset: MultimodalDataset, holdout_fraction: float = 0.2
+    dataset: MultimodalDataset, holdout_fraction: float
 ) -> tuple[MultimodalDataset, MultimodalDataset]:
-    """Fixed split by position: the leading samples train, the rest hold out."""
+    """Fixed split by position: the leading samples train, the trailing
+    ``holdout_fraction`` (``TrainConfig.holdout_fraction``) holds out."""
     if not (0.0 < holdout_fraction < 1.0):
         raise InvalidSpecError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     n = dataset.num_samples

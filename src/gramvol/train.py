@@ -15,19 +15,21 @@ untrained state).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .encoders import ToyEncoder
 from .errors import (
+    BatchTooSmallError,
     DivergedTrainingError,
     InvalidConfigError,
     NonFiniteLossError,
     ZeroVectorError,
 )
 from .losses import (
+    LAMBDA_DAM,
     TAU_MAX,
     TAU_MIN,
     DamHead,
@@ -54,7 +56,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     lr: float = 1e-2
-    lam: float = 0.1
+    lam: float = LAMBDA_DAM
     tau_init: float = 1.0
     seed: int = 0
     loss: str = "gram"
@@ -73,7 +75,7 @@ class TrainConfig:
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.lr >= 0.0, "lr must be >= 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
-            (self.seed >= 0, "seed must be >= 0"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (TAU_MIN <= self.tau_init <= TAU_MAX,
              f"tau_init must lie in [{TAU_MIN}, {TAU_MAX}]"),
             (self.loss in LOSS_KINDS, f"loss must be one of {LOSS_KINDS}"),
@@ -148,36 +150,31 @@ def cosine_pairwise_report(
     )
 
 
-@dataclass(frozen=True)
-class EvalStats:
-    matched_vol: float
-    mismatched_vol: float
-    r_at_1: float
-    l_d2a: float
-    l_a2d: float
-    l_dam: float
-
-
 def evaluate(
     encoders: Sequence[ToyEncoder],
     dataset: MultimodalDataset,
     tau: Temperature,
-    head: DamHead | None = None,
-    max_samples: int = 256,
-    loss_kind: str = "gram",
-) -> EvalStats:
-    """Alignment metrics on a fixed leading slice of ``dataset``."""
+    head: DamHead | None,
+    max_samples: int,
+    loss_kind: str,
+    epoch: int,
+) -> TraceRow:
+    """The trace row of ``epoch``: losses, volumes and R@1 on the leading
+    ``max_samples`` rows of ``dataset``.
+
+    ``head`` (None under the cosine objective) adds the matching loss.
+    Raises ``BatchTooSmallError`` when the slice holds fewer than 2 samples,
+    which have no mismatched tuple and no negative.
+    """
     nsel = min(max_samples, dataset.num_samples)
+    if nsel < 2:
+        raise BatchTooSmallError(f"evaluation needs at least 2 samples, got {nsel}")
     embeds = [
         enc.encode(view[:nsel]) for enc, view in zip(encoders, dataset.views)
     ]
     vols = cross_volumes(embeds[0], embeds[1:])
     matched = float(np.mean(np.diag(vols)))
-    if nsel > 1:
-        off_mask = ~np.eye(nsel, dtype=bool)
-        mismatched = float(np.mean(vols[off_mask]))
-    else:
-        mismatched = float("nan")
+    mismatched = float(np.mean(vols[~np.eye(nsel, dtype=bool)]))
     r1 = retrieval_recall(vols, ks=(1,))[1]
 
     l_dam = 0.0
@@ -188,18 +185,21 @@ def evaluate(
         l_a2d = sum(p[1] / len(parts) for p in parts)
     else:
         l_d2a, l_a2d = gram_contrastive_loss(vols, tau)
-        if head is not None and nsel >= 2:
+        if head is not None:
             l_dam = head.bce_forward(embeds[0], embeds[1:], hard_negative_mine(vols))[0]
-    return EvalStats(matched, mismatched, r1, l_d2a, l_a2d, l_dam)
+    return TraceRow(epoch, l_d2a, l_a2d, l_dam, matched, mismatched, r1)
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def train(
     config: TrainConfig,
     dataset: MultimodalDataset,
-    embed_dim: int = 64,
+    embed_dim: int,
 ) -> TrainResult:
     """Minibatch training on the configured objective.
+
+    ``embed_dim`` is the encoders' output width, the ``embed_dim`` of the
+    ``SyntheticSpec`` that generated ``dataset``.
 
     Raises ``InvalidConfigError`` when the training split holds fewer than
     2 samples (no contrastive gradient) or the held-out split does (no
@@ -235,9 +235,8 @@ def train(
         return Temperature(log_tau=float(params["log_tau"]))
 
     def record(epoch: int) -> None:
-        stats = evaluate(encoders, held_ds, current_tau(), head,
-                         config.eval_max_samples, config.loss)
-        trace.rows.append(TraceRow(epoch=epoch, **asdict(stats)))
+        trace.rows.append(evaluate(encoders, held_ds, current_tau(), head,
+                                   config.eval_max_samples, config.loss, epoch))
 
     trace = TrainingTrace()
     epoch = 0

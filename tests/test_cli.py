@@ -420,11 +420,13 @@ class TestTrainCommand:
         assert result.stderr == "error: boom\n"
 
     def test_negative_seed_flag_exit_5(self, tmp_path):
+        # With data_seed set, TrainConfig rejects the seed before SyntheticSpec sees it.
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(self.CONFIG)
-        res = run_cli("--seed", "-1", "--out", tmp_path / "run", "train", cfg)
-        assert res.returncode == 5
-        assert res.stderr == "error: seed must be >= 0, got -1\n"
+        for data_seed in ("", "data_seed = 7\n"):
+            cfg.write_text(self.CONFIG + data_seed)
+            res = run_cli("--seed", "-1", "--out", tmp_path / "run", "train", cfg)
+            assert res.returncode == 5
+            assert res.stderr == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("line", ["lr = 1e300", "lambda = 1e300"])
     def test_overflow_exit_6_with_partial_trace(self, tmp_path, line):
@@ -449,6 +451,19 @@ class TestTrainCommand:
         assert run_cli("--out", out2, "train", cfg).returncode == 0
         # config already has seed 4, so overriding with 4 changes nothing
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("data_seed", ["", "data_seed = 7\n"])
+    def test_seed_flag_acts_as_seed_key(self, tmp_path, data_seed):
+        # --seed 3 trains like "seed = 3" in the config: data_seed, when
+        # set, still picks the data.
+        flagged, keyed = tmp_path / "flagged.cfg", tmp_path / "keyed.cfg"
+        flagged.write_text(self.CONFIG + data_seed)
+        keyed.write_text(self.CONFIG.replace("seed = 4", "seed = 3") + data_seed)
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert run_cli("--seed", 3, "--out", out1, "train", flagged).returncode == 0
+        assert run_cli("--out", out2, "train", keyed).returncode == 0
+        for fname in ("trace.csv", "checkpoint.bin"):
+            assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
 class TestEvalCommand:

@@ -7,7 +7,8 @@ import pytest
 
 import gramvol as gv
 from gramvol import AdamState, SyntheticSpec, ToyEncoder, TrainConfig, adam_step
-from gramvol.errors import DivergedTrainingError, InvalidConfigError
+from gramvol.encoders import HIDDEN_WIDTH
+from gramvol.errors import BatchTooSmallError, DivergedTrainingError, InvalidConfigError
 from gramvol.optim import EPS
 from gramvol.train import cosine_pairwise_report
 from gramvol.losses import Temperature
@@ -49,11 +50,12 @@ class TestToyEncoder:
         np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
 
     def test_param_count(self, rng):
-        enc = ToyEncoder.init(4, 8, rng, hidden=16)
-        assert enc.param_count() == 4 * 16 + 16 + 16 * 8 + 8
+        enc = ToyEncoder.init(4, 8, rng)
+        h = HIDDEN_WIDTH
+        assert enc.param_count() == 4 * h + h + h * 8 + 8
 
     def test_backward_matches_finite_differences(self, rng):
-        enc = ToyEncoder.init(3, 4, rng, hidden=5)
+        enc = ToyEncoder.init(3, 4, rng)
         x = rng.standard_normal((6, 3))
         w = rng.standard_normal((6, 4))  # fixed projection defining a scalar loss
 
@@ -233,10 +235,22 @@ class TestEvaluate:
         encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
         head = gv.DamHead(3, 16, rng) if loss_kind == "gram" else None
         tau = Temperature.from_tau(0.2)
-        stats = gv.evaluate(encoders, ds, tau, head, max_samples=32, loss_kind=loss_kind)
+        row = gv.evaluate(encoders, ds, tau, head, 32, loss_kind, 5)
         embeds = [enc.encode(v[:32]) for enc, v in zip(encoders, ds.views)]
         if loss_kind == "gram":
             rep = gv.loss_report(embeds[0], embeds[1:], tau, head)
         else:
             rep = cosine_pairwise_report(embeds[0], embeds[1:], tau)
-        assert (stats.l_d2a, stats.l_a2d, stats.l_dam) == (rep.l_d2a, rep.l_a2d, rep.l_dam)
+        assert isinstance(row, gv.TraceRow) and row.epoch == 5
+        assert (row.l_d2a, row.l_a2d, row.l_dam) == (rep.l_d2a, rep.l_a2d, rep.l_dam)
+
+    @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
+    @pytest.mark.parametrize("samples, max_samples", [(40, 1), (1, 32)])
+    def test_one_sample_raises(self, rng, loss_kind, samples, max_samples):
+        # One sample has no mismatched tuple: no row rather than a NaN one.
+        ds = gv.generate_dataset(tiny_spec(samples=40)).subset(slice(samples))
+        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        head = gv.DamHead(3, 16, rng) if loss_kind == "gram" else None
+        with pytest.raises(BatchTooSmallError, match="at least 2 samples, got 1"):
+            gv.evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,
+                        loss_kind, 0)
