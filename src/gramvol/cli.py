@@ -41,13 +41,11 @@ are stable, and the command group maps each library error to one:
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import gc
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import click
 
@@ -131,12 +129,12 @@ def _write_report(path: Path, report: dict, json_line: str) -> None:
         _write_output(path, json_line + "\n")
 
 
-def _csv_writer(lines: list[str], delimiter: str = ","):
-    """A csv writer that appends each row to ``lines``.  Rows end in
-    "\r\n", which makes it quote a cell holding either character; callers
-    cut the two off."""
-    return csv.writer(SimpleNamespace(write=lines.append), delimiter=delimiter,
-                      lineterminator="\r\n")
+def _cell(text: str, delimiter: str = ",") -> str:
+    """``text`` as one CSV cell: quoted when it holds the delimiter, a
+    quote, LF or CR, with each inner quote doubled."""
+    if any(c in text for c in (delimiter, '"', "\n", "\r")):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @dataclasses.dataclass
@@ -236,11 +234,10 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
     if ids:
         mats = _rows(files, ids)
         vols = VolumeBatch(mats[0], mats[1:], paired=True).values
-    lines = []
-    writer = _csv_writer(lines, delimiter="\t")
-    writer.writerow(["id", "k", "volume"])
-    writer.writerows((rec_id, len(files), f"{vol:.12g}") for rec_id, vol in zip(ids, vols))
-    text = "\n".join(line[:-2] for line in lines)
+    lines = ["id\tk\tvolume"]
+    lines.extend("\t".join((_cell(rec_id, "\t"), str(len(files)), f"{vol:.12g}"))
+                 for rec_id, vol in zip(ids, vols))
+    text = "\n".join(lines)
     if opts.out is not None:
         _write_output(opts.out, text + "\n")
     click.echo(text)
@@ -256,16 +253,11 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     files = _load_files(paths, opts.normalize)
     ids, batch = _anchor_batch(files, anchor_name)
     values = cross_volume_matrix(batch).values
-    # The id cells go through csv.writer, which quotes ids such as "a,b".
     # One %-template formats a row's values.
-    lines = []
-    writer = _csv_writer(lines)
-    writer.writerow(["id", *ids])
-    lines[0] = lines[0][:-2] + "\n"
     template = ",".join(["%.12g"] * len(ids)) + "\n"
-    for rec_id, row in zip(ids, values):
-        writer.writerow((rec_id, ""))  # "<id cell>,\r\n"
-        lines[-1] = lines[-1][:-2] + template % tuple(row.tolist())
+    lines = [",".join(["id", *map(_cell, ids)]) + "\n"]
+    lines.extend(_cell(rec_id) + "," + template % tuple(row.tolist())
+                 for rec_id, row in zip(ids, values))
     out_path = opts.out if opts.out is not None else Path("simmat.csv")
     _write_output(out_path, "".join(lines))
     click.echo(f"wrote {out_path}", err=True)

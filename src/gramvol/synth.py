@@ -1,10 +1,11 @@
 """Synthetic multimodal data with a checkable ground-truth alignment.
 
 Every sample draws a class mean plus per-sample jitter in a shared latent
-space; each modality observes that latent through its own fixed full-rank
-projection plus modality noise.  Matched tuples therefore share the latent,
-which is exactly the signal contrastive training is supposed to recover,
-and which no desk-scale real dataset exposes for verification.
+space; each modality observes that latent through its own fixed Gaussian
+projection (full rank almost surely) plus modality noise.  Matched tuples
+therefore share the latent, which is exactly the signal contrastive
+training is supposed to recover, and which no desk-scale real dataset
+exposes for verification.
 """
 
 from __future__ import annotations
@@ -122,28 +123,20 @@ class MultimodalDataset:
         )
 
 
-def _draw_full_rank(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A random square projection, redrawn in the rare singular case."""
-    for _ in range(16):
-        p = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-        if np.linalg.matrix_rank(p) == dim:
-            return p
-    raise InvalidSpecError("could not draw a full-rank projection")
-
-
 def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     """Deterministic dataset for ``spec``.
 
     Per sample: class c, shared latent z = mu_c + eps; modality i sees
-    ``z @ P_i.T + sigma_i * noise``.  Raises ``InvalidSpecError`` when a
-    noise level is so large that a view overflows.
+    ``z @ P_i.T + sigma_i * noise``, drawing the noise at sigma 0 too, so
+    no sigma moves the stream.  Raises ``InvalidSpecError`` when a noise
+    level is so large that a view overflows.
     """
     rng = np.random.default_rng(spec.seed)
     d, k, n_samples = spec.latent_dim, spec.modalities, spec.samples
     sigmas = spec.sigmas()
 
     mu = rng.standard_normal((spec.num_classes, d))
-    projections = [_draw_full_rank(rng, d) for _ in range(k)]
+    projections = [rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(k)]
 
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     z = mu[labels] + rng.standard_normal((n_samples, d))
@@ -151,17 +144,13 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     views = []
     for i in range(k):
         view = (z * masks[i]) @ projections[i].T
-        if sigmas[i] > 0.0:
-            try:
-                with np.errstate(over="raise"):
-                    view = view + sigmas[i] * rng.standard_normal((n_samples, d))
-            except FloatingPointError:
-                raise InvalidSpecError(
-                    f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
-                ) from None
-        else:
-            # Keep the stream position independent of sigma values.
-            rng.standard_normal((n_samples, d))
+        try:
+            with np.errstate(over="raise"):
+                view = view + sigmas[i] * rng.standard_normal((n_samples, d))
+        except FloatingPointError:
+            raise InvalidSpecError(
+                f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
+            ) from None
         views.append(view)
 
     return MultimodalDataset(views=tuple(views), labels=labels)

@@ -27,10 +27,10 @@ so the test does not change when rows are rescaled.
 The contractions run on BLAS.  Every inner product of the forward pass is
 one ``ddot`` call over an entry's own two vectors (``_dots``), so a cross
 entry equals the per-tuple call bit for bit; n is cut into chunks short
-enough that OpenBLAS runs each call on one thread.  The backward pass
-contracts over the B x B grid with GEMMs, which OpenBLAS splits across
-output rows and columns but never across the summed dimension.  So results
-are the same bytes at any BLAS thread count.
+enough that OpenBLAS runs each call on one thread, so forward values are
+the same bytes at any BLAS thread count.  The backward pass contracts over
+the B x B grid with GEMMs, whose bits match across thread counts at the
+tested shapes but not at all shapes (not at B = 257, k = 3, n = 64).
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ class VolumeBatch:
     ``anchor`` is (B, n); ``datas`` holds the k-1 data modalities, each
     (B, n).  The cross form pairs every anchor with every sample's data
     rows, ``values[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``
-    of shape (B, B); the paired form keeps only the matched tuples,
-    ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
+    of shape (B, B); the paired form is its diagonal, bit for bit, laid out
+    as ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
 
     With D = R Q the Gram-Schmidt factorization of a sample's data rows and
     c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
@@ -189,10 +189,10 @@ class VolumeBatch:
         a, d = rows[:, 0], rows[:, 1:]
         b, k, n = rows.shape
         g = _dots(d[:, :, None], d[:, None, :])
-        a2 = _dots(a, a)
-        # Per-anchor quantities broadcast along the grid's anchor axis: j in
-        # the cross form, the sample itself (a length-1 axis) when paired.
-        a2 = a2[:, None] if paired else a2[None, :]
+        # The grid's anchor axis: j in the cross form, the sample itself (a
+        # length-1 axis) when paired.  Both forms run the code below.
+        grid_a = a[:, None] if paired else a[None]
+        a2 = _dots(grid_a, grid_a)
         # Each pivot and residual is judged against its own row's squared
         # norm, so the test does not depend on the rows' relative scales;
         # (k + n) * eps bounds the roundoff of the dots and the elimination.
@@ -210,17 +210,13 @@ class VolumeBatch:
             u[:, t, :t], piv[:, t] = y[:, 0], res[:, 0]
             p[:, t] = np.where(piv[:, t] > tol_d[:, t], piv[:, t], 1.0)
             det_d *= piv[:, t]
-        if paired:
-            da = _dots(d, a[:, None])[:, None]
-        else:
-            da = _dots(d[:, None], a[None, :, None])
+        da = _dots(d[:, None], grid_a[:, :, None])
         y, s = _eliminate(da, a2 + np.zeros(da.shape[:2]), u, p)
         rank_deficient = (
             (piv <= tol_d).any(axis=1)[:, None] | (s <= tol_s) | (k > n)
         )
         det = np.where(rank_deficient, 0.0, det_d[:, None] * s)
         vol = np.sqrt(det)
-        self._paired = paired
         self._a, self._d, self._u, self._p, self._y = a, d, u, p, y
         self._s, self._vol = s, vol
         self.gram_det = det[:, 0] if paired else det
@@ -232,7 +228,8 @@ class VolumeBatch:
         return self.values <= DEGENERATE_VOLUME
 
     def backward(self, dvalues) -> tuple[np.ndarray, np.ndarray]:
-        """dL/d anchor (B, n) and dL/d datas (k-1, B, n) from dL/d values.
+        """dL/d anchor (B, n) and dL/d datas (k-1, B, n) from the cross
+        form's dL/d values (B, B).
 
         For each entry, dV/da = V r / s and dV/dD = V R^-T (Q - c r^T / s),
         with r = a - Q^T c the part of a off span D.  Both are contracted
@@ -255,13 +252,9 @@ class VolumeBatch:
         alpha = np.divide(w, self._s, out=np.zeros_like(w), where=live)
         beta = alpha[..., None] * c
         beta_t = beta.transpose(0, 2, 1)
-        if self._paired:
-            grad_anchor = alpha * a - (beta @ q)[:, 0]
-            beta_a = beta_t @ a[:, None]
-        else:
-            grad_anchor = (alpha.sum(axis=0)[:, None] * a
-                           - beta.transpose(1, 0, 2).reshape(b, b * m) @ q.reshape(b * m, n))
-            beta_a = (beta_t.reshape(b * m, b) @ a).reshape(b, m, n)
+        grad_anchor = (alpha.sum(axis=0)[:, None] * a
+                       - beta.transpose(1, 0, 2).reshape(b, b * m) @ q.reshape(b * m, n))
+        beta_a = (beta_t.reshape(b * m, b) @ a).reshape(b, m, n)
         x = w.sum(axis=1)[:, None, None] * q - beta_a + (beta_t @ c) @ q
         # dL/dD = R^-T x: back substitution over the k-1 rows.
         for t in reversed(range(m)):
@@ -293,9 +286,9 @@ def volume_gradient(vectors) -> VolumeGradient:
     """
     rows = _as_rows(vectors)
     _require_finite(rows)
-    batch = VolumeBatch(rows[:1], rows[1:, None], paired=True)
-    grad_anchor, grad_datas = batch.backward(np.ones(1))
+    batch = VolumeBatch(rows[:1], rows[1:, None])
+    grad_anchor, grad_datas = batch.backward(np.ones((1, 1)))
     return VolumeGradient(
         grads=np.concatenate([grad_anchor, grad_datas[:, 0]]),
-        degenerate=bool(batch.degenerate[0]),
+        degenerate=bool(batch.degenerate[0, 0]),
     )

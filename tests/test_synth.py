@@ -82,6 +82,23 @@ class TestGenerateDataset:
         assert all(v.shape == (40, 8) for v in ds.views)
         assert ds.labels.shape == (40,) and ds.num_samples == 40
 
+    @pytest.mark.parametrize("others", [0.0, 0.03])
+    @pytest.mark.parametrize("i", range(3))
+    def test_one_sigma_moves_only_its_own_view(self, i, others):
+        # Every modality draws its noise, at sigma 0 too, so modality i's
+        # sigma leaves the labels and every other view byte-identical.  At
+        # others = 0 the first spec has every sigma 0.
+        sigmas = [others] * 3
+        datasets = []
+        for sigma in (0.0, 0.1):
+            sigmas[i] = sigma
+            datasets.append(generate_dataset(
+                SyntheticSpec(modalities=3, noise_sigma=tuple(sigmas), samples=64, seed=4)))
+        a, b = datasets
+        assert a.labels.tobytes() == b.labels.tobytes()
+        for j in range(3):
+            assert (a.views[j].tobytes() == b.views[j].tobytes()) == (j != i)
+
     def test_overflowing_sigma(self):
         # Finite, but sigma times a normal draw above 1.8 is not.
         spec = SyntheticSpec(latent_dim=4, embed_dim=8, noise_sigma=1e308, samples=64)

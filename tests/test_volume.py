@@ -249,6 +249,15 @@ class TestVolumeGradient:
         grad = gv.volume_gradient(rows)
         assert grad.degenerate
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_degenerate_flag_follows_volume(self, rng, degenerate):
+        rows = unit_rows(rng, 3, 5)
+        if degenerate:
+            rows[2] = rows[0]
+        grad = gv.volume_gradient(rows)
+        assert grad.degenerate is degenerate
+        assert grad.degenerate == (gv.gramian_volume(rows).value <= DEGENERATE_VOLUME)
+
     def test_threshold_exported(self):
         assert DEGENERATE_VOLUME == 1e-9
 
@@ -287,16 +296,37 @@ class TestVolumeBatchBackward:
         assert np.abs(grad_anchor - expected_anchor).max() <= 1e-12 * largest
         assert np.abs(grad_datas - expected_datas).max() <= 1e-12 * largest
 
-    @pytest.mark.parametrize("b, k, n", [(7, 3, 5), (6, 4, 9)])
-    def test_paired_form(self, rng, b, k, n):
-        anchor, datas = self.inputs(rng, b, k, n)
-        datas[-1][1] = anchor[1]  # matched tuple 1 is degenerate
-        w = rng.standard_normal(b)
-        batch = VolumeBatch(anchor, datas, paired=True)
-        assert batch.degenerate[1]
-        grads = np.array([self.per_tuple(anchor, datas, i, i) for i in range(b)])
-        grad_anchor, grad_datas = batch.backward(w)
-        largest = np.abs(grads).max()
-        expected = w[:, None, None] * grads
-        assert np.abs(grad_anchor - expected[:, 0]).max() <= 1e-12 * largest
-        assert np.abs(grad_datas - expected[:, 1:].transpose(1, 0, 2)).max() <= 1e-12 * largest
+
+class TestPairedForm:
+    """The paired form is a layout of the cross form: its diagonal."""
+
+    @pytest.mark.parametrize("b, k, n", [
+        (5, 1, 3),  # k = 1: each volume is the anchor's norm
+        (6, 2, 4),
+        (7, 3, 5),
+        (6, 4, 9),
+        (4, 3, 2),  # k > n
+        (5, 5, 3),  # k > n
+        (3, 4, 40),
+    ])
+    def test_values_are_cross_diagonal_bit_for_bit(self, rng, b, k, n):
+        # Rows of mixed norms, so the diagonal is not only unit tuples.
+        anchor = unit_rows(rng, b, n) * rng.uniform(0.5, 2.0, (b, 1))
+        datas = [unit_rows(rng, b, n) * rng.uniform(0.5, 2.0, (b, 1)) for _ in range(k - 1)]
+        if k >= 2:
+            datas[-1][1] = anchor[1]  # a data row of tuple 1 repeats its anchor
+        if k >= 3:
+            datas[1][2] = -3.0 * datas[0][2]  # tuple 2's data rows are collinear
+        paired = VolumeBatch(anchor, datas, paired=True)
+        cross = VolumeBatch(anchor, datas)
+        assert paired.values.shape == paired.gram_det.shape == (b,)
+        assert np.array_equal(paired.values, np.diagonal(cross.values))
+        assert np.array_equal(paired.gram_det, np.diagonal(cross.gram_det))
+        if k >= 2:
+            assert paired.values[1] == 0.0 and paired.gram_det[1] == 0.0
+        if k >= 3:
+            assert paired.values[2] == 0.0
+        if k > n:
+            assert not paired.values.any()
+        if k == 1:
+            assert np.array_equal(paired.values, np.sqrt(np.vecdot(anchor, anchor)))
