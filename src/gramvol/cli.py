@@ -16,22 +16,22 @@ are stable, and the command group maps each library error to one:
     0  success
     2  embedding file parse/data error, one "path:line:" message (a bad
        header or record, an id or modality that is not a JSON string, a
-       wrong vector length, a second modality, a duplicate id, NaN or
-       Inf, bytes that are not UTF-8); a file that cannot be read; files
-       of different dimensions; for simmat, eval and metric, two files
-       with the same modality name
+       vector element that is not a JSON number, a wrong vector length,
+       a second modality, a duplicate id, NaN or Inf, bytes that are not
+       UTF-8); a file that cannot be read; files of different dimensions;
+       for simmat, eval and metric, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
-       files, an eval --ks cutoff below 1, an --out path that cannot be
-       written ("cannot write <path>: <reason>"), a train config that
-       cannot be read, is not UTF-8, has a key other than the fields of
-       ``SyntheticSpec``/``TrainConfig`` (``lambda`` names ``lam`` and
-       ``data_seed`` the spec's ``seed``) or holds a bad value (batch_size
-       or eval_max_samples below 2, tau_init outside [1e-3, 10], a seed
-       below 0, a non-finite float, a noise_sigma that overflows the
-       generated data, a training or held-out split of fewer than 2
-       samples)
+       files, an eval --ks with no cutoff or a cutoff below 1, an --out
+       path that cannot be written ("cannot write <path>: <reason>"), a
+       train config that cannot be read, is not UTF-8, has a key other
+       than the fields of ``SyntheticSpec``/``TrainConfig`` (``lambda``
+       names ``lam`` and ``data_seed`` the spec's ``seed``) or holds a bad
+       value (batch_size or eval_max_samples below 2, tau_init outside
+       [1e-3, 10], a seed below 0, a non-finite float, a noise_sigma that
+       overflows the generated data, a training or held-out split of
+       fewer than 2 samples)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)
@@ -72,9 +72,20 @@ from .formats import (
 )
 from .metrics import DEFAULT_KS, alignment_metric, retrieval_recall
 from .similarity import ModalityBatch, MultimodalBatch, cross_volume_matrix
-from .synth import generate_dataset
-from .train import train as run_training
 from .volume import VolumeBatch, normalize
+
+
+def __getattr__(name):
+    """``generate_dataset`` and ``run_training``, whose modules load on
+    first use, so that the scoring commands never import them."""
+    if name == "generate_dataset":
+        from .synth import generate_dataset as value
+    elif name == "run_training":
+        from .train import train as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 #: Library error -> exit code; any other ``GramVolError`` exits 1.
 _EXIT_CODES: tuple[tuple[type[GramVolError], int], ...] = (
@@ -275,9 +286,10 @@ def cmd_train(opts: CliOptions, config_path):
     out_dir = opts.out if opts.out is not None else Path(".")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(spec)
+    cli = sys.modules[__name__]  # module attributes, so they can be replaced
+    dataset = cli.generate_dataset(spec)
     try:
-        result = run_training(config, dataset, embed_dim=spec.embed_dim)
+        result = cli.run_training(config, dataset, embed_dim=spec.embed_dim)
     except DivergedTrainingError as exc:
         if exc.trace is not None:
             with _writing(out_dir):
@@ -301,6 +313,8 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     """Retrieval recall over the cross-volume matrix (diagonal = match)."""
     try:
         k_values = [int(k) for k in ks.split(",") if k.strip()]
+        if not k_values:
+            raise ValueError(f"no cutoff in {ks!r}")
         bad = [k for k in k_values if k < 1]
         if bad:
             raise ValueError(f"cutoffs must be >= 1, got {bad}")
@@ -341,7 +355,8 @@ def run() -> None:
 
     Everything imported so far lives until the process ends, so moving it
     to the permanent generation spares the full collections at interpreter
-    exit a walk over it.
+    exit a walk over it.  The training modules are not among it: ``train``
+    imports them after the freeze.
     """
     gc.freeze()
     main()

@@ -15,16 +15,20 @@ import json
 import os
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmbeddingParseError, InvalidConfigError
-from .synth import SyntheticSpec
-from .train import TraceRow, TrainConfig, TrainingTrace
+
+if TYPE_CHECKING:
+    from .synth import SyntheticSpec
+    from .train import TrainConfig, TrainingTrace
 
 EMBED_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 1
+#: The Python types of JSON numbers; ``true`` and ``"0.5"`` are not among them.
+_NUMBERS = frozenset((int, float))
 
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -101,8 +105,9 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
     """Parse an embedding file, reporting the line number of any defect.
 
     The checks run as each line is read: the header, each record's fields
-    and vector length, one modality per file, unique ids.  Finiteness is
-    checked on the whole array at the end, at the first bad row's line.
+    (string id and modality, a vector of JSON numbers) and vector length,
+    one modality per file, unique ids.  Finiteness is checked on the whole
+    array at the end, at the first bad row's line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -136,7 +141,13 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
             if type(rec_id) is not str or type(rec_modality) is not str:
                 raise TypeError("id and modality must be JSON strings, "
                                 f"got {json.dumps(rec_id)} and {json.dumps(rec_modality)}")
-            vec = np.asarray(obj["vec"], dtype=np.float64)
+            vec = obj["vec"]
+            if type(vec) is not list:
+                raise TypeError(f"vec must be a JSON array, got {json.dumps(vec)}")
+            if not _NUMBERS.issuperset(map(type, vec)):
+                bad = next(v for v in vec if type(v) not in _NUMBERS)
+                raise TypeError(f"vec elements must be JSON numbers, got {json.dumps(bad)}")
+            vec = np.asarray(vec, dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise EmbeddingParseError(f"bad record: {exc}", line_no) from exc
         if vec.ndim != 1 or vec.shape[0] != n:
@@ -198,6 +209,9 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     ``noise_sigma`` accepts a single float or a comma-separated list (one
     value per modality).
     """
+    from .synth import SyntheticSpec  # training modules load on first use
+    from .train import TrainConfig
+
     spec_kwargs: dict = {}
     train_kwargs: dict = {}
     targets = {}  # config key -> (kwargs, field name, parser)
@@ -238,6 +252,8 @@ def read_key_values(path: str | Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def trace_to_csv(trace: TrainingTrace) -> str:
+    from .train import TraceRow
+
     lines = [",".join(f.name for f in fields(TraceRow))]
     lines += [",".join(map(repr, astuple(row))) for row in trace.rows]
     return "\n".join(lines) + "\n"

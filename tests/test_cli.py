@@ -501,6 +501,17 @@ class TestEvalCommand:
         assert "bad --ks value" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("ks", ["", ",", " , "])
+    def test_no_cutoff_exit_5(self, tmp_path, rng, ks):
+        ids = ["a", "b", "c"]
+        for name in ("txt", "vid"):
+            write_modality(tmp_path / f"{name}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        res = run_cli("eval", tmp_path / "txt.jsonl", tmp_path / "vid.jsonl",
+                      "--anchor", "txt", "--ks", ks)
+        assert res.returncode == 5
+        assert res.stderr == f"error: bad --ks value: no cutoff in {ks!r}\n"
+        assert res.stdout == ""
+
 
 class TestMetricCommand:
     def test_collinear_tuples(self, tmp_path, rng):
@@ -604,6 +615,25 @@ class TestReaderErrors:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {bad}:2: bad record: ")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("vec", [
+        '[true, "0.5"]', '[1.0, "0.5"]', '[1.0, null]', '[[1.0], 0.0]', '5', '"1.0"', '{}',
+    ])
+    def test_non_number_vector_exit_2(self, tmp_path, vec):
+        # np.asarray would read [true, "0.5"] as [1.0, 0.5].
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format_version": 1, "n": 2}\n'
+                       '{"id": "p", "modality": "a", "vec": %s}\n' % vec)
+        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 1.0]]))
+        result = CliRunner().invoke(main, ["volume", str(bad), str(tmp_path / "b.jsonl")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {bad}:2: bad record: vec ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("command", ["volume", "train"])
     def test_unreadable_path_one_line(self, tmp_path, command):
@@ -739,3 +769,76 @@ class TestProcessEntry:
         res = run_cli("--help")
         assert res.returncode == 0, res.stderr
         assert "Volume-based multimodal similarity toolbox." in res.stdout
+
+
+#: Modules that only training needs.
+TRAINING_MODULES = {"gramvol.train", "gramvol.losses", "gramvol.optim",
+                    "gramvol.encoders", "gramvol.synth", "logging"}
+
+
+def imported_modules(*args):
+    """Modules a fresh interpreter imports running ``python -X importtime
+    ARGS``; every one must exit 0."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestImportSets:
+    """The scoring commands and a bare ``import gramvol`` never import the
+    training modules; the public names still resolve to their owners'."""
+
+    @pytest.mark.parametrize("command", ["--help", "volume", "simmat", "eval", "metric"])
+    def test_scoring_commands_skip_training_modules(self, orthogonal_pair_files, command):
+        paths = [orthogonal_pair_files / n for n in ("a.jsonl", "m.jsonl")]
+        args = {
+            "--help": ["--help"],
+            "volume": ["volume", *paths],
+            "simmat": ["--out", orthogonal_pair_files / "s.csv", "simmat", *paths,
+                       "--anchor", "anchor"],
+            "eval": ["eval", *paths, "--anchor", "anchor"],
+            "metric": ["metric", *paths],
+        }[command]
+        modules = imported_modules("-m", "gramvol", *args)
+        assert {"gramvol.cli", "gramvol.formats"} <= modules
+        assert not modules & TRAINING_MODULES
+
+    def test_bare_import(self):
+        modules = imported_modules("-c", "import gramvol")
+        assert "gramvol" in modules
+        assert not modules & TRAINING_MODULES
+
+    def test_public_names_are_their_owners(self):
+        import importlib
+
+        assert set(gv.__all__) <= set(dir(gv))
+        for name in gv.__all__:
+            value = getattr(gv, name)
+            if name == "errors":
+                assert value is importlib.import_module("gramvol.errors")
+                continue
+            assert value.__module__.startswith("gramvol.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_train_stays_the_function(self, tmp_path):
+        # Importing a submodule binds it onto its package; ``gramvol.train``
+        # must keep naming the function, however the module got imported.
+        (tmp_path / "train.cfg").write_text(TestTrainCommand.CONFIG.replace(
+            "epochs = 2", "epochs = 0"))
+        code = (
+            "import sys, types\n"
+            "import gramvol\n"
+            "import gramvol.train\n"
+            "assert isinstance(gramvol.train, types.FunctionType), gramvol.train\n"
+            "from click.testing import CliRunner\n"
+            "from gramvol.cli import main\n"
+            "res = CliRunner().invoke(main, ['--out', sys.argv[1], 'train', sys.argv[2]])\n"
+            "assert res.exit_code == 0, res.output\n"
+            "assert gramvol.train is sys.modules['gramvol.train'].train, gramvol.train\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "run"), str(tmp_path / "train.cfg")],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
