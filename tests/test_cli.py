@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import importlib
 import io
 import json
 import math
@@ -811,8 +812,6 @@ class TestImportSets:
         assert not modules & TRAINING_MODULES
 
     def test_public_names_are_their_owners(self):
-        import importlib
-
         assert set(gv.__all__) <= set(dir(gv))
         for name in gv.__all__:
             value = getattr(gv, name)
