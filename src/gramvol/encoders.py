@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroVectorError
-from .volume import ZERO_NORM_CUTOFF
+from .volume import ZERO_NORM_CUTOFF, _matmul
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,8 @@ class ToyEncoder:
     def encode_cached(self, x: np.ndarray):
         """(embeddings, cache) where the cache feeds ``backward``."""
         x = np.asarray(x, dtype=np.float64)
-        h = np.tanh(x @ self.w1 + self.b1)
-        u = h @ self.w2 + self.b2
+        h = np.tanh(_matmul(x, self.w1) + self.b1)
+        u = _matmul(h, self.w2) + self.b2
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         if float(norms.min()) < ZERO_NORM_CUTOFF:
             raise ZeroVectorError("encoder produced a zero embedding")
@@ -70,8 +70,8 @@ class ToyEncoder:
         x, h, e, norms = cache
         # Through row normalization: du = (de - e <e, de>) / |u|.
         du = (grad_e - e * np.sum(e * grad_e, axis=1, keepdims=True)) / norms
-        grads = {"w2": h.T @ du, "b2": du.sum(axis=0)}
-        dh = (du @ self.w2.T) * (1.0 - h * h)
-        grads["w1"] = x.T @ dh
+        grads = {"w2": _matmul(h.T, du), "b2": du.sum(axis=0)}
+        dh = _matmul(du, self.w2.T) * (1.0 - h * h)
+        grads["w1"] = _matmul(x.T, dh)
         grads["b1"] = dh.sum(axis=0)
         return grads

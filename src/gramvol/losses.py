@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BatchTooSmallError, NonFiniteLossError
-from .volume import VolumeBatch
+from .volume import VolumeBatch, _matmul
 
 TAU_MIN = 1e-3
 TAU_MAX = 10.0
@@ -174,9 +174,9 @@ class DamHead:
                 "w3": self.w3, "b3": self.b3}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        return h2 @ self.w3 + self.b3
+        h1 = np.tanh(_matmul(x, self.w1) + self.b1)
+        h2 = np.tanh(_matmul(h1, self.w2) + self.b2)
+        return _matmul(h2, self.w3) + self.b3
 
     def bce_forward(self, anchor: np.ndarray, datas: Sequence[np.ndarray], neg_j: np.ndarray):
         """(mean BCE, cache) over the B matched tuples (label 1), then their
@@ -185,16 +185,16 @@ class DamHead:
         with P_a = A W1[:n], P_d = [D_1 .. D_{k-1}] W1[n:] + b1."""
         b = anchor.shape[0]
         dcat = np.concatenate(datas, axis=1)
-        p_d = dcat @ self.w1[self.n:] + self.b1
-        p_a = anchor @ self.w1[:self.n]
+        p_d = _matmul(dcat, self.w1[self.n:]) + self.b1
+        p_a = _matmul(anchor, self.w1[:self.n])
         # In place: at these sizes a fresh temporary costs more than its math.
         h1 = np.concatenate([p_a, p_a[neg_j]]).reshape(2, b, -1)
         h1 += p_d
         h1 = np.tanh(h1, out=h1).reshape(2 * b, -1)
-        h2 = h1 @ self.w2
+        h2 = _matmul(h1, self.w2)
         h2 += self.b2
         np.tanh(h2, out=h2)
-        logit = h2 @ self.w3 + self.b3
+        logit = _matmul(h2, self.w3) + self.b3
         y = np.repeat([1.0, 0.0], b)
         # softplus(l) - l*y == -[y log p + (1-y) log(1-p)] for p = sigmoid(l)
         softplus = np.logaddexp(0.0, logit)
@@ -209,22 +209,22 @@ class DamHead:
         loss, (dcat, h1, h2, log_p, y) = self.bce_forward(anchor, datas, neg_j)
         b, n = anchor.shape
         dlogit = (lam / y.shape[0]) * (np.exp(log_p) - y)
-        grads = {"w3": h2.T @ dlogit, "b3": np.asarray(dlogit.sum())}
+        grads = {"w3": _matmul(h2.T, dlogit), "b3": np.asarray(dlogit.sum())}
         dh2 = _tanh_backward(h2, np.outer(dlogit, self.w3))
-        grads["w2"] = h1.T @ dh2
+        grads["w2"] = _matmul(h1.T, dh2)
         grads["b2"] = dh2.sum(axis=0)
-        dh1 = _tanh_backward(h1, dh2 @ self.w2.T)
+        dh1 = _tanh_backward(h1, _matmul(dh2, self.w2.T))
         dp_d = dh1[:b] + dh1[b:]
         # One-hot fold of each negative row onto the anchor it borrowed
         # (fold[neg_j[r], r] = 1); a matmul, where np.add.at is far slower.
         fold = np.zeros((b, b))
         fold[neg_j, np.arange(b)] = 1.0
-        dp_a = fold @ dh1[b:]
+        dp_a = _matmul(fold, dh1[b:])
         dp_a += dh1[:b]
-        grads["w1"] = np.concatenate([anchor.T @ dp_a, dcat.T @ dp_d])
+        grads["w1"] = np.concatenate([_matmul(anchor.T, dp_a), _matmul(dcat.T, dp_d)])
         grads["b1"] = dp_d.sum(axis=0)
-        grad_datas = (dp_d @ self.w1[n:].T).reshape(b, -1, n).transpose(1, 0, 2)
-        return loss, dp_a @ self.w1[:n].T, grad_datas, grads
+        grad_datas = _matmul(dp_d, self.w1[n:].T).reshape(b, -1, n).transpose(1, 0, 2)
+        return loss, _matmul(dp_a, self.w1[:n].T), grad_datas, grads
 
 
 def _tanh_backward(h: np.ndarray, grad: np.ndarray) -> np.ndarray:

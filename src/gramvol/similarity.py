@@ -8,9 +8,11 @@ tuples sit on the diagonal.  The matrix comes from the batched volume
 kernel, ``volume.VolumeBatch``: each sample's data rows are factored once
 (row-wise Gram-Schmidt), and the Schur complement then gives every
 anchor's volume against them from one (B, B, k-1) grid of inner products.
-Each of those is one BLAS ``ddot`` call over the entry's own two vectors,
-so the matrix agrees with per-tuple ``volume.gramian_volume`` calls bit
-for bit, at any BLAS thread count.
+That grid is one matrix product (``volume._matmul``), so an entry matches
+the per-tuple ``volume.gramian_volume`` call to a few ulp, not bit for
+bit.  The matrix is the same bytes at any BLAS thread count, rank-deficient
+tuples get exactly 0, and an anchor that repeats another gets an equal
+column, so ties stay exact.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
+from .volume import _matmul
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     masks = spec.visibility_masks()
     views = []
     for i in range(k):
-        view = (z * masks[i]) @ projections[i].T
+        view = _matmul(z * masks[i], projections[i].T)
         try:
             with np.errstate(over="raise"):
                 view = view + sigmas[i] * rng.standard_normal((n_samples, d))

@@ -45,6 +45,7 @@ from .metrics import retrieval_recall
 from .optim import AdamState, adam_step
 from .similarity import cross_volumes
 from .synth import MultimodalDataset, split_dataset
+from .volume import _matmul
 
 LOSS_KINDS = ("gram", "cosine")
 
@@ -134,14 +135,14 @@ def cosine_pairwise_report(
     grad_anchor = np.zeros_like(anchor)
     grad_datas = np.empty((nmod,) + anchor.shape)
     for off, d in enumerate(datas):
-        z = (d @ anchor.T) / t
+        z = _matmul(d, anchor.T) / t
         l_m2a, l_a2m, dz = contrastive(z)
         l_d2a += l_m2a / nmod
         l_a2d += l_a2m / nmod
         grad_log_tau -= float(np.sum(dz * z)) / nmod
         dz /= nmod * t
-        np.matmul(dz, anchor, out=grad_datas[off])
-        grad_anchor += dz.T @ d
+        grad_datas[off] = _matmul(dz, anchor)
+        grad_anchor += _matmul(dz.T, d)
     l_tot = total_loss((l_d2a, l_a2d), 0.0)
     return LossReport(
         l_d2a=l_d2a, l_a2d=l_a2d, l_dam=0.0, l_tot=l_tot,
@@ -180,7 +181,8 @@ def evaluate(
     l_dam = 0.0
     if loss_kind == "cosine":
         # The losses of cosine_pairwise_report, without its gradients.
-        parts = [contrastive((d @ embeds[0].T) / tau.tau, grad=False) for d in embeds[1:]]
+        parts = [contrastive(_matmul(d, embeds[0].T) / tau.tau, grad=False)
+                 for d in embeds[1:]]
         l_d2a = sum(p[0] / len(parts) for p in parts)
         l_a2d = sum(p[1] / len(parts) for p in parts)
     else:

@@ -24,13 +24,19 @@ by up to about n * eps / 2 of its rows' norms), the k term the at most k
 elimination steps after them.  Each row is judged against its own norm,
 so the test does not change when rows are rescaled.
 
-The contractions run on BLAS.  Every inner product of the forward pass is
-one ``ddot`` call over an entry's own two vectors (``_dots``), so a cross
-entry equals the per-tuple call bit for bit; n is cut into chunks short
-enough that OpenBLAS runs each call on one thread, so forward values are
-the same bytes at any BLAS thread count.  The backward pass contracts over
-the B x B grid with GEMMs, whose bits match across thread counts at the
-tested shapes but not at all shapes (not at B = 257, k = 3, n = 64).
+The contractions run on BLAS, through two helpers whose bits do not
+depend on the BLAS thread count.  ``_dots`` makes one chunked ``ddot``
+call per inner product, over that entry's own two vectors: the data
+rows' Gram matrices, the anchors' norms and the paired form's D a.
+``_matmul`` computes every matrix product: the cross form's D a grid, as
+one product of the (k-1) B data rows with the B anchors, and the backward
+pass.  It adds the summed dimension in chunks of at most 256 and pads the
+width to a multiple of 8 columns, so the forward and backward passes are
+the same bytes at any thread count and any shape.  A cross entry matches
+the per-tuple call (a 1 x 1 cross form) and the paired form to a few ulp,
+not bit for bit: a product of another shape, or a ``ddot``, rounds its
+sums in another order.  Rank-deficient tuples are exactly 0 in every
+form, and equal anchors give equal columns.
 """
 
 from __future__ import annotations
@@ -131,12 +137,12 @@ _DOT_CHUNK = 8192
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inner products along the last axis, broadcasting the others.
 
-    Every inner product of the kernel goes through here.  ``np.vecdot``
-    makes one BLAS ``ddot`` call per entry over that entry's own two
-    vectors, so an entry's bits depend on its vectors only, never on its
-    position in the batch.  Chunks of at most ``_DOT_CHUNK`` elements,
-    added in index order, keep each call on one thread, so the bits do not
-    depend on the BLAS thread count either.
+    Every inner product outside a matrix product (``_matmul``) goes
+    through here.  ``np.vecdot`` makes one BLAS ``ddot`` call per entry
+    over that entry's own two vectors, so an entry's bits depend on its
+    vectors only, never on its position in the batch.  Chunks of at most
+    ``_DOT_CHUNK`` elements, added in index order, keep each call on one
+    thread, so the bits do not depend on the BLAS thread count either.
     """
     out = np.vecdot(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
     for lo in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
@@ -144,28 +150,67 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Longest stretch of the summed dimension K that one BLAS product call
+#: sees.  OpenBLAS adds a K of up to 256 in one block at any thread count;
+#: a longer K is cut into blocks at other places when threaded.
+_MATMUL_K = 256
+
+#: Product widths are padded with zero columns to a multiple of this.  The
+#: dgemm micro-kernel computes 8 columns at a time; a width it does not
+#: divide leaves edge columns for narrower kernels, which round
+#: differently, and a threaded call puts those edges in other places.
+_MATMUL_COLS = 8
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for a matrix ``x`` (M, K) and a matrix (K, N) or vector
+    (K,) ``y``, with bits that do not depend on the BLAS thread count.
+
+    Every matrix product of the package goes through here.  K is added in
+    chunks of at most ``_MATMUL_K``, one BLAS call each, in index order,
+    and a matrix ``y`` is padded with zero columns to a multiple of
+    ``_MATMUL_COLS``.  So every output column comes from the kernel's
+    full-width path: equal columns of ``y`` give equal output columns, and
+    a product with K <= 256 and N a multiple of 8 is one plain BLAS call.
+    """
+    n = y.shape[1] if y.ndim == 2 else 0
+    if n % _MATMUL_COLS:
+        padded = np.zeros((y.shape[0], n - n % _MATMUL_COLS + _MATMUL_COLS))
+        padded[:, :n] = y
+        y = padded
+    out = np.matmul(x[:, :_MATMUL_K], y[:_MATMUL_K])
+    for lo in range(_MATMUL_K, x.shape[1], _MATMUL_K):
+        out += x[:, lo:lo + _MATMUL_K] @ y[lo:lo + _MATMUL_K]
+    return out[:, :n] if n % _MATMUL_COLS else out
+
+
 def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):
     """Gram-Schmidt step for one more row, written on inner products.
 
-    ``x`` (B, J, t) holds the row's inner products with the first t data
-    rows of each sample and ``norm2`` (B, J) its squared norm; ``u`` and
-    ``p`` are those rows' unscaled factor and pivots.  Returns the row's
-    unscaled coefficients y (B, J, t), y_l = <row, q_l> * sqrt(p_l), and
-    its residual norm2 - sum_l y_l^2 / p_l: its squared distance from the
-    span.  Data rows and anchors run this same code, so an anchor equal to
-    a data row reproduces that row's arithmetic and cancels to within one
-    rounding of its pivot.  The loops are elementwise, with no reduction,
-    so no entry depends on its position in the batch.
+    ``x`` (t, B, J) holds the row's inner products with the first t data
+    rows of each sample, one (B, J) plane per data row, and ``norm2``
+    (broadcast to (B, J)) its squared norm; ``u`` (k-1, k-1, B) and ``p``
+    (k-1, B) are those rows' unscaled factor and pivots.  Overwrites ``x``
+    with the row's unscaled coefficients y, y_l = <row, q_l> * sqrt(p_l),
+    and returns y and the residual norm2 - sum_l y_l^2 / p_l: the row's
+    squared distance from the span.  Data rows and anchors run this same
+    code, so an anchor equal to a data row reproduces that row's
+    arithmetic up to the rounding of its inner products.  The loops are
+    elementwise, with no reduction, so no entry depends on its position in
+    the batch.
     """
-    y = np.empty_like(x)
-    res = norm2.copy()
-    for t in range(x.shape[-1]):
-        yt = x[..., t].copy()
+    res = np.empty(x.shape[1:])
+    res[...] = norm2
+    tmp = np.empty_like(res)
+    for t, yt in enumerate(x):
         for l in range(t):
-            yt -= y[..., l] * u[:, None, t, l] / p[:, None, l]
-        y[..., t] = yt
-        res -= yt * yt / p[:, None, t]
-    return y, res
+            np.multiply(x[l], u[t, l, :, None], out=tmp)
+            tmp /= p[l, :, None]
+            yt -= tmp
+        np.multiply(yt, yt, out=tmp)
+        tmp /= p[t, :, None]
+        res -= tmp
+    return x, res
 
 
 class VolumeBatch:
@@ -174,48 +219,50 @@ class VolumeBatch:
     ``anchor`` is (B, n); ``datas`` holds the k-1 data modalities, each
     (B, n).  The cross form pairs every anchor with every sample's data
     rows, ``values[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``
-    of shape (B, B); the paired form is its diagonal, bit for bit, laid out
-    as ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
+    of shape (B, B); the paired form is its diagonal, up to the rounding
+    of the inner products, laid out as
+    ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
 
     With D = R Q the Gram-Schmidt factorization of a sample's data rows and
     c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
-    runs on inner products (``_dots``, then ``_eliminate``): once over each
-    sample's data rows, whose squared pivots multiply to det(D D^T), and
-    once more for the anchors, on D a.
+    runs on inner products, then ``_eliminate``: once over each sample's
+    data rows (``_dots``), whose squared pivots multiply to det(D D^T), and
+    once more for the anchors, on D a.  The cross form's D a grid is one
+    ``_matmul`` of the (k-1) B data rows against the B anchors; the paired
+    form takes each sample's own k-1 inner products from ``_dots``.
     """
 
     def __init__(self, anchor, datas, paired: bool = False):
-        rows = np.stack([anchor, *datas], axis=1).astype(np.float64, copy=False)
-        a, d = rows[:, 0], rows[:, 1:]
-        b, k, n = rows.shape
-        g = _dots(d[:, :, None], d[:, None, :])
-        # The grid's anchor axis: j in the cross form, the sample itself (a
-        # length-1 axis) when paired.  Both forms run the code below.
-        grid_a = a[:, None] if paired else a[None]
-        a2 = _dots(grid_a, grid_a)
+        rows = np.stack([anchor, *datas]).astype(np.float64, copy=False)
+        a, d = rows[0], rows[1:]
+        k, b, n = rows.shape
+        g = _dots(d[:, None], d[None])
+        if paired:
+            da = _dots(d, a)[..., None]
+            a2 = _dots(a, a)[:, None]
+        else:
+            da = _matmul(d.reshape(-1, n), a.T).reshape(k - 1, b, b)
+            a2 = _dots(a, a)[None]
         # Each pivot and residual is judged against its own row's squared
         # norm, so the test does not depend on the rows' relative scales;
         # (k + n) * eps bounds the roundoff of the dots and the elimination.
         tol = (k + n) * _EPS
-        tol_d = tol * g[:, range(k - 1), range(k - 1)]
+        tol_d = tol * g[range(k - 1), range(k - 1)]
         tol_s = tol * a2
-        u = np.zeros((b, k - 1, k - 1))
-        piv = np.empty((b, k - 1))
+        u = np.zeros((k - 1, k - 1, b))
+        piv = np.empty((k - 1, b))
         # A pivot at or below the tolerance is replaced by 1 in ``p``, so
         # nothing divides by zero; every volume of that sample is 0 anyway.
-        p = np.ones((b, k - 1))
+        p = np.ones((k - 1, b))
         det_d = np.ones(b)
         for t in range(k - 1):
-            y, res = _eliminate(g[:, None, t, :t], g[:, None, t, t], u, p)
-            u[:, t, :t], piv[:, t] = y[:, 0], res[:, 0]
-            p[:, t] = np.where(piv[:, t] > tol_d[:, t], piv[:, t], 1.0)
-            det_d *= piv[:, t]
-        da = _dots(d[:, None], grid_a[:, :, None])
-        y, s = _eliminate(da, a2 + np.zeros(da.shape[:2]), u, p)
-        rank_deficient = (
-            (piv <= tol_d).any(axis=1)[:, None] | (s <= tol_s) | (k > n)
-        )
-        det = np.where(rank_deficient, 0.0, det_d[:, None] * s)
+            y, res = _eliminate(g[t, :t, :, None].copy(), g[t, t, :, None], u, p)
+            u[t, :t], piv[t] = y[..., 0], res[:, 0]
+            p[t] = np.where(piv[t] > tol_d[t], piv[t], 1.0)
+            det_d *= piv[t]
+        y, s = _eliminate(da, a2, u, p)
+        det = det_d[:, None] * s
+        det[(piv <= tol_d).any(axis=0)[:, None] | (s <= tol_s) | (k > n)] = 0.0
         vol = np.sqrt(det)
         self._a, self._d, self._u, self._p, self._y = a, d, u, p, y
         self._s, self._vol = s, vol
@@ -233,43 +280,49 @@ class VolumeBatch:
 
         For each entry, dV/da = V r / s and dV/dD = V R^-T (Q - c r^T / s),
         with r = a - Q^T c the part of a off span D.  Both are contracted
-        with ``dvalues`` directly, summed over the entries each row joins.
+        with ``dvalues`` directly, summed over the entries each row joins:
+        two ``_matmul`` products over the (k-1) B data rows, and per
+        sample the (k-1) x (k-1) inner products of its coefficients
+        (``_dots``).
         """
         a, d, vol = self._a, self._d, self._vol
-        b, m, n = d.shape
+        m, b, n = d.shape
         sqrt_p = np.sqrt(self._p)
-        r = self._u / sqrt_p[:, None, :]
-        r[:, range(m), range(m)] = sqrt_p
-        c = self._y / sqrt_p[:, None, :]
+        r = self._u / sqrt_p
+        r[range(m), range(m)] = sqrt_p
+        c = self._y / sqrt_p[..., None]
         q = np.empty_like(d)
         for t in range(m):
-            q[:, t] = d[:, t]
+            q[t] = d[t]
             for l in range(t):
-                q[:, t] -= r[:, t, l, None] * q[:, l]
-            q[:, t] /= r[:, t, t, None]
+                q[t] -= r[t, l, :, None] * q[l]
+            q[t] /= r[t, t, :, None]
         live = vol > DEGENERATE_VOLUME
         w = np.where(live, np.reshape(dvalues, vol.shape), 0.0) * vol
         alpha = np.divide(w, self._s, out=np.zeros_like(w), where=live)
-        beta = alpha[..., None] * c
-        beta_t = beta.transpose(0, 2, 1)
+        beta = (alpha * c).reshape(-1, b)
         grad_anchor = (alpha.sum(axis=0)[:, None] * a
-                       - beta.transpose(1, 0, 2).reshape(b, b * m) @ q.reshape(b * m, n))
-        beta_a = (beta_t.reshape(b * m, b) @ a).reshape(b, m, n)
-        x = w.sum(axis=1)[:, None, None] * q - beta_a + (beta_t @ c) @ q
+                       - _matmul(beta.T, q.reshape(-1, n)))
+        x = w.sum(axis=1)[:, None] * q - _matmul(beta, a).reshape(m, b, n)
+        bc = _dots(beta.reshape(m, 1, b, b), c)
+        for t in range(m):
+            # A sum over the leading axis adds the k-1 planes in order.
+            x[t] += (bc[t, :, :, None] * q).sum(axis=0)
         # dL/dD = R^-T x: back substitution over the k-1 rows.
         for t in reversed(range(m)):
             for l in range(t + 1, m):
-                x[:, t] -= r[:, l, t, None] * x[:, l]
-            x[:, t] /= r[:, t, t, None]
-        return grad_anchor, np.ascontiguousarray(x.transpose(1, 0, 2))
+                x[t] -= r[l, t, :, None] * x[l]
+            x[t] /= r[t, t, :, None]
+        return grad_anchor, x
 
 
 def gramian_volume(vectors) -> Volume:
     """Volume of the parallelotope spanned by the input vectors.
 
     k = 1 returns the vector's norm; k > n returns 0.  Computed as the
-    1 x 1 cross form of ``VolumeBatch``, so it equals the matching entry of
-    any cross-volume matrix bit for bit.
+    1 x 1 cross form of ``VolumeBatch``, so it matches the entry of any
+    cross-volume matrix to a few ulp; a rank-deficient tuple is exactly 0
+    in both.
     """
     rows = _as_rows(vectors)
     _require_finite(rows)

@@ -275,6 +275,29 @@ class TestTrainCommand:
             blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("loss", ["gram", "cosine"])
+    def test_byte_identical_across_blas_thread_counts_past_256(self, tmp_path, loss):
+        # A batch of 300 sums the volume backward over K = 600 and the
+        # head over K = 600, and 300 (or the 205 held-out samples) is a
+        # width that the dgemm kernel's 8 columns do not divide.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
+            "noise_sigma = 0.05\nsamples = 1024\nbatch_size = 300\nepochs = 1\n"
+            f"seed = 3\nloss = {loss}\n"
+        )
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
+        assert blobs[0] == blobs[1]
+
     def test_matched_volume_improves(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(self.CONFIG.replace("epochs = 2", "epochs = 4"))

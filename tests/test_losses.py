@@ -349,17 +349,21 @@ class TestContrastiveCore:
 
 
 #: Prints one line per LossReport field (a float's hex, an array's SHA-256)
-#: for both objectives at two shapes and two temperatures.  At B = 128 the
-#: flattened B x B matrices exceed the 10,000 elements above which OpenBLAS
-#: splits a single dot product across threads.  A split sum can still round
-#: to the same double, so each reduction is checked on several inputs.
+#: for both objectives at two shapes and two temperatures, or at the
+#: (B, k, n) shapes given as its argument.  At B = 128 the flattened B x B
+#: matrices exceed the 10,000 elements above which OpenBLAS splits a single
+#: dot product across threads.  A split sum can still round to the same
+#: double, so each reduction is checked on several inputs.
 THREAD_SCRIPT = """
+import ast
 import hashlib
+import sys
 import numpy as np
 from gramvol.losses import DamHead, Temperature, loss_report
 from gramvol.train import cosine_pairwise_report
 
-for b, k, n in ((64, 3, 64), (128, 4, 256)):
+shapes = ast.literal_eval(sys.argv[1]) if len(sys.argv) > 1 else ((64, 3, 64), (128, 4, 256))
+for b, k, n in shapes:
     r = np.random.default_rng(b)
     x = r.standard_normal((k, b, n))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
@@ -397,4 +401,20 @@ def test_loss_reports_byte_identical_across_blas_thread_counts():
     # Two shapes by two temperatures, each gram (7 fields, 6 head arrays)
     # and cosine (7 fields).
     assert len(outs[0]) == 4 * (7 + 6 + 7)
+    assert outs[0] == outs[1]
+
+
+def test_loss_reports_byte_identical_across_blas_thread_counts_past_256():
+    # Past B = 256 the volume backward sums over K = B (k - 1) > 512, the
+    # head over K = 2B, and B = 257 or 300 is a width that the dgemm
+    # kernel's 8 columns do not divide.
+    shapes = "((257, 3, 64), (300, 3, 64), (600, 2, 64))"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, shapes],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout.splitlines())
+    assert len(outs[0]) == 6 * (7 + 6 + 7)
     assert outs[0] == outs[1]

@@ -109,15 +109,42 @@ class TestCrossVolumeMatrix:
             gv.cross_volume_matrix(permuted).values, values[np.ix_(perm, perm)]
         )
 
-    @pytest.mark.parametrize("b, k, n", [(64, 3, 64), (40, 4, 256)])
-    def test_bit_identical_to_per_tuple_calls(self, rng, b, k, n):
+    @pytest.mark.parametrize("b, k, n", [(64, 3, 64), (40, 4, 256), (48, 2, 64)])
+    def test_within_few_ulp_of_per_tuple_calls(self, rng, b, k, n):
+        # The cross form's D a grid is one matrix product, whose sums round
+        # in another order than the per-tuple call's, so an entry matches
+        # that call to a few ulp, not bit for bit.  Rank-deficient tuples
+        # are exactly 0 in both: tuple (i, i) for i < 3 repeats its anchor,
+        # and for k >= 3 sample 4's data rows are collinear.
         anchor = unit_rows(rng, b, n)
         datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        datas[-1][:3] = anchor[:3]
+        if k >= 3:
+            datas[1][4] = -datas[0][4]
         per_tuple = np.array([
             [gv.gramian_volume([anchor[j]] + [d[i] for d in datas]).value for j in range(b)]
             for i in range(b)
         ])
-        assert np.array_equal(gv.cross_volumes(anchor, datas), per_tuple)
+        cross = gv.cross_volumes(anchor, datas)
+        zero = per_tuple == 0.0
+        assert zero[range(3), range(3)].all()
+        assert zero[4].all() == (k >= 3)
+        assert np.array_equal(cross == 0.0, zero)
+        np.testing.assert_array_max_ulp(cross[~zero], per_tuple[~zero], maxulp=4)
+
+    @pytest.mark.parametrize("b, k, n", [(300, 3, 64), (196, 4, 256), (130, 3, 33), (65, 3, 8)])
+    def test_equal_anchors_give_equal_columns(self, rng, b, k, n):
+        # eval's tie rule needs exact ties: a candidate that repeats another
+        # must get the same value in every row, wherever the product puts
+        # its column.  Column b - 1 sits past the last multiple of 8.
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        pairs = [(5, b - 1), (b - 2, 1), (b // 2, b - 3)]
+        for src, dst in pairs:
+            anchor[dst] = anchor[src]
+        values = gv.cross_volumes(anchor, datas)
+        for src, dst in pairs:
+            assert np.array_equal(values[:, src], values[:, dst])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_tuples_repeating_their_anchor_give_zero_rows(self, rng, k):
@@ -162,4 +189,26 @@ class TestCrossVolumeMatrix:
                                  capture_output=True, text=True, env=env)
             assert res.returncode == 0, res.stderr
             outs.append(res.stdout)
+        assert outs[0] == outs[1]
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        # Widths that are not a multiple of 64 or 8: a plain matrix product
+        # for the D a grid puts the kernel's edge columns in other places
+        # on two threads, and its sum over n = 600 is blocked differently.
+        script = (
+            "import numpy as np, gramvol as gv\n"
+            "r = np.random.default_rng(5)\n"
+            "for b, k, n in ((300, 3, 64), (196, 4, 256), (300, 4, 600)):\n"
+            "    x = r.standard_normal((k, b, n))\n"
+            "    x /= np.linalg.norm(x, axis=-1, keepdims=True)\n"
+            "    print(gv.cross_volumes(x[0], list(x[1:])).tobytes().hex())\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, env=env)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout.splitlines())
+        assert len(outs[0]) == 3
         assert outs[0] == outs[1]

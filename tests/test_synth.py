@@ -1,5 +1,9 @@
 """Synthetic dataset generation: determinism, structure, validation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -98,6 +102,25 @@ class TestGenerateDataset:
         assert a.labels.tobytes() == b.labels.tobytes()
         for j in range(3):
             assert (a.views[j].tobytes() == b.views[j].tobytes()) == (j != i)
+
+    def test_byte_identical_across_blas_thread_counts(self):
+        # A latent of 300 projects with a summed dimension past 256 and a
+        # width that the dgemm kernel's 8 columns do not divide.
+        script = (
+            "import hashlib\n"
+            "from gramvol import SyntheticSpec, generate_dataset\n"
+            "ds = generate_dataset(SyntheticSpec(latent_dim=300, embed_dim=300, "
+            "modalities=2, samples=2000, seed=1))\n"
+            "print(hashlib.sha256(b''.join(v.tobytes() for v in ds.views)).hexdigest())\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, env=env)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
 
     def test_overflowing_sigma(self):
         # Finite, but sigma times a normal draw above 1.8 is not.
