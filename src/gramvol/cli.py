@@ -75,17 +75,21 @@ from .similarity import ModalityBatch, MultimodalBatch, cross_volume_matrix
 from .volume import VolumeBatch, normalize
 
 
-def __getattr__(name):
-    """``generate_dataset`` and ``run_training``, whose modules load on
-    first use, so that the scoring commands never import them."""
-    if name == "generate_dataset":
-        from .synth import generate_dataset as value
-    elif name == "run_training":
-        from .train import train as value
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+def generate_dataset(spec):
+    """``synth.generate_dataset``, whose module loads on the first call, so
+    that the scoring commands never import it."""
+    from .synth import generate_dataset
+
+    return generate_dataset(spec)
+
+
+def run_training(config, dataset, embed_dim):
+    """``train.train``, whose module loads on the first call, so that the
+    scoring commands never import it."""
+    from .train import train
+
+    return train(config, dataset, embed_dim=embed_dim)
+
 
 #: Library error -> exit code; any other ``GramVolError`` exits 1.
 _EXIT_CODES: tuple[tuple[type[GramVolError], int], ...] = (
@@ -128,16 +132,18 @@ def _write_output(path: Path, text: str) -> None:
         _atomic_write_text(path, text)
 
 
-def _write_report(path: Path, report: dict, json_line: str) -> None:
-    """Write a flat report: CSV when the target ends in .csv, else JSON."""
-    if str(path).endswith(".csv"):
-        header = ",".join(report)
-        values = ",".join(
-            v if isinstance(v, str) else repr(v) for v in report.values()
-        )
-        _write_output(path, f"{header}\n{values}\n")
-    else:
-        _write_output(path, json_line + "\n")
+def _report(path: Path | None, report: dict) -> None:
+    """Print a flat report as one JSON line, and write it to ``path`` when
+    given: a header and a value line of CSV when it ends in .csv, else the
+    JSON line."""
+    line = json.dumps(report)
+    if path is not None:
+        if str(path).endswith(".csv"):
+            values = ",".join(v if isinstance(v, str) else repr(v) for v in report.values())
+            _write_output(path, f"{','.join(report)}\n{values}\n")
+        else:
+            _write_output(path, line + "\n")
+    click.echo(line)
 
 
 def _cell(text: str, delimiter: str = ",") -> str:
@@ -286,10 +292,9 @@ def cmd_train(opts: CliOptions, config_path):
     out_dir = opts.out if opts.out is not None else Path(".")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    cli = sys.modules[__name__]  # module attributes, so they can be replaced
-    dataset = cli.generate_dataset(spec)
+    dataset = generate_dataset(spec)
     try:
-        result = cli.run_training(config, dataset, embed_dim=spec.embed_dim)
+        result = run_training(config, dataset, embed_dim=spec.embed_dim)
     except DivergedTrainingError as exc:
         if exc.trace is not None:
             with _writing(out_dir):
@@ -325,10 +330,7 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
     report = {"direction": "data_to_anchor", "queries": len(ids)}
     report.update({f"r_at_{k}": recalls[k] for k in k_values})
-    line = json.dumps(report)
-    if opts.out is not None:
-        _write_report(opts.out, report, line)
-    click.echo(line)
+    _report(opts.out, report)
 
 
 @main.command("metric")
@@ -339,15 +341,11 @@ def cmd_metric(opts: CliOptions, paths):
     files = _load_files(paths, opts.normalize)
     ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
     score = alignment_metric(batch)
-    report = {
+    _report(opts.out, {
         "mean_matched_volume": score.mean_matched_volume,
         "one_minus_gram": score.one_minus_gram,
         "samples": len(ids),
-    }
-    line = json.dumps(report)
-    if opts.out is not None:
-        _write_report(opts.out, report, line)
-    click.echo(line)
+    })
 
 
 def run() -> None:

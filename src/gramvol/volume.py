@@ -30,13 +30,23 @@ call per inner product, over that entry's own two vectors: the data
 rows' Gram matrices, the anchors' norms and the paired form's D a.
 ``_matmul`` computes every matrix product: the cross form's D a grid, as
 one product of the (k-1) B data rows with the B anchors, and the backward
-pass.  It adds the summed dimension in chunks of at most 256 and pads the
-width to a multiple of 8 columns, so the forward and backward passes are
-the same bytes at any thread count and any shape.  A cross entry matches
-the per-tuple call (a 1 x 1 cross form) and the paired form to a few ulp,
-not bit for bit: a product of another shape, or a ``ddot``, rounds its
-sums in another order.  Rank-deficient tuples are exactly 0 in every
-form, and equal anchors give equal columns.
+pass.  Its rule is the package's one thread-count rule.  The summed
+dimension K is added in chunks of at most 256, one BLAS call each, in
+index order, since OpenBLAS cuts a longer K into blocks at other places
+when threaded.  The row count M and the width N are brought to multiples
+of 8 with zero rows and columns, since a threaded call splits the output
+at other places, and a ragged edge there runs narrower kernels that round
+differently.  The rule was verified on OpenBLAS 0.3.31 under its SkylakeX
+(AVX-512), Haswell (AVX2, also run on AMD Zen) and Sandybridge (AVX)
+kernels: equal bytes at 1 to 4 threads on 150 seeded products with M and
+N below 700 and K below 1300, vectors and transposed operands among them.
+Pre-AVX kernels are not covered: under Nehalem and Katmai the bytes still
+change with the thread count.
+
+A cross entry matches the per-tuple call (a 1 x 1 cross form) and the
+paired form up to rounding, not bit for bit: a product of another shape,
+or a ``ddot``, rounds its sums in another order.  Rank-deficient tuples
+are exactly 0 in every form, and equal anchors give equal columns.
 """
 
 from __future__ import annotations
@@ -150,38 +160,46 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Longest stretch of the summed dimension K that one BLAS product call
-#: sees.  OpenBLAS adds a K of up to 256 in one block at any thread count;
-#: a longer K is cut into blocks at other places when threaded.
+#: The thread-count rule of the module docstring: K in chunks of at most
+#: ``_MATMUL_K``, M and N brought to multiples of ``_MATMUL_ALIGN``.
 _MATMUL_K = 256
+_MATMUL_ALIGN = 8
 
-#: Product widths are padded with zero columns to a multiple of this.  The
-#: dgemm micro-kernel computes 8 columns at a time; a width it does not
-#: divide leaves edge columns for narrower kernels, which round
-#: differently, and a threaded call puts those edges in other places.
-_MATMUL_COLS = 8
+
+def _sum_k(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ y`` with K added in chunks of at most ``_MATMUL_K``, one BLAS
+    call each, in index order."""
+    out = np.matmul(x[:, :_MATMUL_K], y[:_MATMUL_K], out=out)
+    for lo in range(_MATMUL_K, x.shape[1], _MATMUL_K):
+        out += x[:, lo:lo + _MATMUL_K] @ y[lo:lo + _MATMUL_K]
+    return out
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for a matrix ``x`` (M, K) and a matrix (K, N) or vector
     (K,) ``y``, with bits that do not depend on the BLAS thread count.
 
-    Every matrix product of the package goes through here.  K is added in
-    chunks of at most ``_MATMUL_K``, one BLAS call each, in index order,
-    and a matrix ``y`` is padded with zero columns to a multiple of
-    ``_MATMUL_COLS``.  So every output column comes from the kernel's
-    full-width path: equal columns of ``y`` give equal output columns, and
-    a product with K <= 256 and N a multiple of 8 is one plain BLAS call.
+    Every matrix product of the package goes through here, under the rule
+    of the module docstring.  A matrix ``y`` is padded with zero columns.
+    ``x`` is not copied: its first M - M mod 8 rows are a view, and its
+    last M mod 8 rows one zero-padded 8-row block, both computed into one
+    output.  So a product with K <= 256 and M and N multiples of 8 is one
+    plain BLAS call, and equal columns of ``y`` give equal output columns.
     """
     n = y.shape[1] if y.ndim == 2 else 0
-    if n % _MATMUL_COLS:
-        padded = np.zeros((y.shape[0], n - n % _MATMUL_COLS + _MATMUL_COLS))
+    if n % _MATMUL_ALIGN:
+        padded = np.zeros((y.shape[0], n - n % _MATMUL_ALIGN + _MATMUL_ALIGN))
         padded[:, :n] = y
         y = padded
-    out = np.matmul(x[:, :_MATMUL_K], y[:_MATMUL_K])
-    for lo in range(_MATMUL_K, x.shape[1], _MATMUL_K):
-        out += x[:, lo:lo + _MATMUL_K] @ y[lo:lo + _MATMUL_K]
-    return out[:, :n] if n % _MATMUL_COLS else out
+    m = x.shape[0]
+    head = m - m % _MATMUL_ALIGN
+    out = np.empty((m, *y.shape[1:]))
+    _sum_k(x[:head], y, out[:head])
+    if head < m:
+        block = np.zeros((_MATMUL_ALIGN, x.shape[1]))
+        block[:m - head] = x[head:]
+        out[head:] = _sum_k(block, y)[:m - head]
+    return out[:, :n] if n % _MATMUL_ALIGN else out
 
 
 def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):
@@ -219,9 +237,11 @@ class VolumeBatch:
     ``anchor`` is (B, n); ``datas`` holds the k-1 data modalities, each
     (B, n).  The cross form pairs every anchor with every sample's data
     rows, ``values[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``
-    of shape (B, B); the paired form is its diagonal, up to the rounding
-    of the inner products, laid out as
-    ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,).
+    of shape (B, B); the paired form is its diagonal, laid out as
+    ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,), up to
+    the rounding of the inner products: a Gram determinant within
+    (k + n) * eps * (the product of its rows' squared norms), the bound of
+    the rank test.
 
     With D = R Q the Gram-Schmidt factorization of a sample's data rows and
     c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
@@ -321,8 +341,8 @@ def gramian_volume(vectors) -> Volume:
 
     k = 1 returns the vector's norm; k > n returns 0.  Computed as the
     1 x 1 cross form of ``VolumeBatch``, so it matches the entry of any
-    cross-volume matrix to a few ulp; a rank-deficient tuple is exactly 0
-    in both.
+    cross-volume matrix up to rounding; a rank-deficient tuple is exactly
+    0 in both.
     """
     rows = _as_rows(vectors)
     _require_finite(rows)

@@ -3,10 +3,16 @@
 The oracles here deliberately avoid the library's own code paths:
 determinants come from recursive cofactor expansion and derivatives from
 central finite differences, so agreement with the implementation is
-evidence rather than tautology.
+evidence rather than tautology.  ``assert_same_at_1_and_2_threads`` is
+the one check that a run's bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +93,40 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+#: The OpenBLAS kernel sets a thread-count check runs under: the machine's
+#: own, the AVX2 kernels (``Haswell``, which OpenBLAS also runs on AMD Zen)
+#: and the AVX kernels (``Sandybridge``).
+BLAS_CORES = [pytest.param(None, id="default-core"), "Haswell", "Sandybridge"]
+
+
+def assert_same_at_1_and_2_threads(args, *, core=None, tmp_path=None, files=()):
+    """Run ``python *args`` at 1 and at 2 OpenBLAS threads, assert that both
+    runs print the same stdout, and return its lines.
+
+    For a run that writes files, ``args`` is a function of its output
+    directory, a fresh one under ``tmp_path`` per run, and the ``files``
+    there must be the same bytes too.  ``core`` forces an OpenBLAS kernel
+    set (``OPENBLAS_CORETYPE``).  The check skips when the child does not
+    report that core under ``OPENBLAS_VERBOSE=2``: a numpy not built on
+    OpenBLAS, or a CPU without the core's instructions.
+    """
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        if core is not None:
+            env.update(OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+        out = tmp_path / f"threads{threads}" if callable(args) else None
+        res = subprocess.run([sys.executable, *map(str, args(out) if out else args)],
+                             capture_output=True, text=True, env=env)
+        if core is not None and f"Core: {core}" not in res.stderr.splitlines():
+            pytest.skip(f"OpenBLAS did not report the {core} kernels")
+        assert res.returncode == 0, res.stderr
+        digests = [hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files]
+        runs.append((res.stdout.splitlines(), digests))
+    assert runs[0] == runs[1]
+    return runs[0][0]
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import importlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -16,7 +15,7 @@ import pytest
 import gramvol as gv
 from gramvol.formats import write_embeddings
 
-from conftest import unit_rows
+from conftest import assert_same_at_1_and_2_threads, unit_rows
 
 
 def run_cli(*args, cwd=None):
@@ -232,24 +231,22 @@ class TestTrainCommand:
         for fname in ("trace.csv", "checkpoint.bin", "checkpoint.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
-    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+    @staticmethod
+    def train_at_1_and_2_threads(tmp_path, config):
+        """``gramvol train`` writes the same trace and checkpoint bytes at 1
+        and at 2 BLAS threads."""
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(
+        cfg.write_text(config)
+        assert_same_at_1_and_2_threads(
+            lambda out: ["-m", "gramvol", "--out", out, "train", cfg],
+            tmp_path=tmp_path, files=("trace.csv", "checkpoint.bin"))
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        self.train_at_1_and_2_threads(tmp_path, (
             "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
             "noise_sigma = 0.05\nsamples = 512\nbatch_size = 64\nepochs = 2\n"
             "seed = 3\neval_max_samples = 128\n"
-        )
-        blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run(
-                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
-                capture_output=True, text=True, env=env,
-            )
-            assert res.returncode == 0, res.stderr
-            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
-        assert blobs[0] == blobs[1]
+        ))
 
     def test_cosine_byte_identical_across_blas_thread_counts(self, tmp_path):
         # At 128 x 128 the logit matrices pass OpenBLAS's 10,000-element
@@ -257,46 +254,22 @@ class TestTrainCommand:
         # went through one would change bits with the thread count.  Adam
         # absorbs many one-ulp gradient changes; at this seed, a flattened
         # np.vdot for the temperature gradient does change the outputs.
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(
+        self.train_at_1_and_2_threads(tmp_path, (
             "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
             "noise_sigma = 0.05\nsamples = 512\nbatch_size = 128\nepochs = 2\n"
             "seed = 4\neval_max_samples = 128\nloss = cosine\n"
-        )
-        blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run(
-                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
-                capture_output=True, text=True, env=env,
-            )
-            assert res.returncode == 0, res.stderr
-            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
-        assert blobs[0] == blobs[1]
+        ))
 
     @pytest.mark.parametrize("loss", ["gram", "cosine"])
     def test_byte_identical_across_blas_thread_counts_past_256(self, tmp_path, loss):
         # A batch of 300 sums the volume backward over K = 600 and the
         # head over K = 600, and 300 (or the 205 held-out samples) is a
-        # width that the dgemm kernel's 8 columns do not divide.
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(
+        # row count and a width that the kernels' 8-wide tiles do not divide.
+        self.train_at_1_and_2_threads(tmp_path, (
             "latent_dim = 16\nembed_dim = 64\nmodalities = 3\nnum_classes = 4\n"
             "noise_sigma = 0.05\nsamples = 1024\nbatch_size = 300\nepochs = 1\n"
             f"seed = 3\nloss = {loss}\n"
-        )
-        blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run(
-                [sys.executable, "-m", "gramvol", "--out", str(out), "train", str(cfg)],
-                capture_output=True, text=True, env=env,
-            )
-            assert res.returncode == 0, res.stderr
-            blobs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.bin")])
-        assert blobs[0] == blobs[1]
+        ))
 
     def test_matched_volume_improves(self, tmp_path):
         cfg = tmp_path / "train.cfg"

@@ -1,9 +1,6 @@
 """Contrastive and matching losses: worked examples and gradient checks."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,6 +20,8 @@ from gramvol.losses import (
 from gramvol.train import cosine_pairwise_report
 
 from conftest import (
+    BLAS_CORES,
+    assert_same_at_1_and_2_threads,
     contrastive_loss_value as contrastive_value,
     rel_err,
     total_loss_value as total_value,
@@ -391,30 +390,17 @@ for b, k, n in shapes:
 def test_loss_reports_byte_identical_across_blas_thread_counts():
     # Compares every field directly: training bytes can hide a one-ulp
     # gradient change, since Adam's normalised step absorbs most of them.
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        res = subprocess.run([sys.executable, "-c", THREAD_SCRIPT],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        outs.append(res.stdout.splitlines())
+    lines = assert_same_at_1_and_2_threads(["-c", THREAD_SCRIPT])
     # Two shapes by two temperatures, each gram (7 fields, 6 head arrays)
     # and cosine (7 fields).
-    assert len(outs[0]) == 4 * (7 + 6 + 7)
-    assert outs[0] == outs[1]
+    assert len(lines) == 4 * (7 + 6 + 7)
 
 
-def test_loss_reports_byte_identical_across_blas_thread_counts_past_256():
+@pytest.mark.parametrize("core", BLAS_CORES)
+def test_loss_reports_byte_identical_across_blas_thread_counts_past_256(core):
     # Past B = 256 the volume backward sums over K = B (k - 1) > 512, the
-    # head over K = 2B, and B = 257 or 300 is a width that the dgemm
-    # kernel's 8 columns do not divide.
+    # head over K = 2B, and B = 257 or 300 is a width and a row count that
+    # the kernels' 8-wide tiles do not divide.
     shapes = "((257, 3, 64), (300, 3, 64), (600, 2, 64))"
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        res = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, shapes],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        outs.append(res.stdout.splitlines())
-    assert len(outs[0]) == 6 * (7 + 6 + 7)
-    assert outs[0] == outs[1]
+    lines = assert_same_at_1_and_2_threads(["-c", THREAD_SCRIPT, shapes], core=core)
+    assert len(lines) == 6 * (7 + 6 + 7)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gramvol as gv
-from gramvol.cli import _write_report
+from gramvol.cli import _report
 from gramvol.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -114,20 +114,21 @@ class TestAlignmentMetric:
 
 
 class TestReportSerialization:
-    """``cli._write_report``, the one renderer of eval/metric reports."""
+    """``cli._report``, the one renderer of eval/metric reports."""
 
-    def test_json_single_line(self, tmp_path):
+    def test_json_single_line(self, tmp_path, capsys):
         report = {"r_at_1": 0.5, "r_at_5": 0.75, "r_at_10": 1.0}
         path = tmp_path / "report.json"
-        _write_report(path, report, json.dumps(report))
+        _report(path, report)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["r_at_5"] == 0.75
+        assert capsys.readouterr().out == lines[0] + "\n"
 
     def test_csv_round_trip_values(self, tmp_path):
         report = {"mean_matched_volume": 0.3, "one_minus_gram": 0.7}
         path = tmp_path / "report.csv"
-        _write_report(path, report, json.dumps(report))
+        _report(path, report)
         header, values = path.read_text().strip().split("\n")
         assert header == "mean_matched_volume,one_minus_gram"
         assert [float(v) for v in values.split(",")] == [0.3, 0.7]

@@ -1,16 +1,12 @@
 """Cross-volume matrices against per-tuple oracles."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 import gramvol as gv
 from gramvol.errors import InconsistentBatchError
 
-from conftest import unit_rows
+from conftest import assert_same_at_1_and_2_threads, unit_rows
 
 
 def make_batch(rng, b, k, n, names=None):
@@ -182,14 +178,7 @@ class TestCrossVolumeMatrix:
             "x /= np.linalg.norm(x, axis=-1, keepdims=True)\n"
             "print(gv.cross_volumes(x[0], [x[1], x[2]]).tobytes().hex())\n"
         )
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run([sys.executable, "-c", script],
-                                 capture_output=True, text=True, env=env)
-            assert res.returncode == 0, res.stderr
-            outs.append(res.stdout)
-        assert outs[0] == outs[1]
+        assert_same_at_1_and_2_threads(["-c", script])
 
     def test_bit_identical_across_blas_thread_counts(self):
         # Widths that are not a multiple of 64 or 8: a plain matrix product
@@ -203,12 +192,4 @@ class TestCrossVolumeMatrix:
             "    x /= np.linalg.norm(x, axis=-1, keepdims=True)\n"
             "    print(gv.cross_volumes(x[0], list(x[1:])).tobytes().hex())\n"
         )
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run([sys.executable, "-c", script],
-                                 capture_output=True, text=True, env=env)
-            assert res.returncode == 0, res.stderr
-            outs.append(res.stdout.splitlines())
-        assert len(outs[0]) == 3
-        assert outs[0] == outs[1]
+        assert len(assert_same_at_1_and_2_threads(["-c", script])) == 3

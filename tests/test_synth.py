@@ -1,14 +1,12 @@
 """Synthetic dataset generation: determinism, structure, validation."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from gramvol import SyntheticSpec, generate_dataset, split_dataset
 from gramvol.errors import InvalidSpecError
+
+from conftest import assert_same_at_1_and_2_threads
 
 
 class TestSpecValidation:
@@ -113,14 +111,7 @@ class TestGenerateDataset:
             "modalities=2, samples=2000, seed=1))\n"
             "print(hashlib.sha256(b''.join(v.tobytes() for v in ds.views)).hexdigest())\n"
         )
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run([sys.executable, "-c", script],
-                                 capture_output=True, text=True, env=env)
-            assert res.returncode == 0, res.stderr
-            outs.append(res.stdout)
-        assert outs[0] == outs[1]
+        assert_same_at_1_and_2_threads(["-c", script])
 
     def test_overflowing_sigma(self):
         # Finite, but sigma times a normal draw above 1.8 is not.

@@ -1,9 +1,6 @@
 """Core volume math: examples, invariants, and gradient correctness."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +18,15 @@ from gramvol.errors import (
 )
 from gramvol.volume import DEGENERATE_VOLUME, VolumeBatch, _matmul
 
-from conftest import central_diff, cofactor_det, random_orthogonal, rel_err, unit_rows
+from conftest import (
+    BLAS_CORES,
+    assert_same_at_1_and_2_threads,
+    central_diff,
+    cofactor_det,
+    random_orthogonal,
+    rel_err,
+    unit_rows,
+)
 
 
 class TestNormalize:
@@ -301,9 +306,10 @@ class TestVolumeBatchBackward:
 
 
 class TestPairedForm:
-    """The paired form is the cross form's diagonal, to a few ulp: it takes
-    each sample's inner products from its own dots, the cross form from one
-    matrix product."""
+    """The paired form is the cross form's diagonal, up to rounding: it
+    takes each sample's inner products from its own dots, the cross form
+    from one matrix product.  The bound has the rank test's form: a Gram
+    determinant within (k + n) * eps * (the product of squared row norms)."""
 
     @pytest.mark.parametrize("b, k, n", [
         (5, 1, 3),  # k = 1: each volume is the anchor's norm
@@ -327,8 +333,10 @@ class TestPairedForm:
         paired = VolumeBatch(anchor, datas, paired=True)
         cross = VolumeBatch(anchor, datas)
         assert paired.values.shape == paired.gram_det.shape == (b,)
-        np.testing.assert_array_max_ulp(paired.values, np.diagonal(cross.values), maxulp=4)
-        np.testing.assert_array_max_ulp(paired.gram_det, np.diagonal(cross.gram_det), maxulp=4)
+        norms2 = np.vecdot(anchor, anchor) * np.prod([np.vecdot(d, d) for d in datas], axis=0)
+        bound = (k + n) * np.finfo(np.float64).eps * norms2
+        assert (np.abs(paired.gram_det - np.diagonal(cross.gram_det)) <= bound).all()
+        assert np.array_equal(paired.values, np.sqrt(paired.gram_det))
         if k >= 2:
             assert paired.values[1] == 0.0 and paired.gram_det[1] == 0.0
         if k >= 3:
@@ -374,13 +382,6 @@ class TestMatmul:
         x, y = rng.standard_normal((64, 256)), rng.standard_normal((256, 192))
         assert np.array_equal(_matmul(x, y), x @ y)
 
-    def test_bit_identical_across_blas_thread_counts(self):
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            res = subprocess.run([sys.executable, "-c", MATMUL_SCRIPT],
-                                 capture_output=True, text=True, env=env)
-            assert res.returncode == 0, res.stderr
-            outs.append(res.stdout.splitlines())
-        assert len(outs[0]) == 60
-        assert outs[0] == outs[1]
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_bit_identical_across_blas_thread_counts(self, core):
+        assert len(assert_same_at_1_and_2_threads(["-c", MATMUL_SCRIPT], core=core)) == 60
