@@ -11,9 +11,9 @@ anchor's volume against them from one (B, B, k-1) grid of inner products.
 That grid is one matrix product (``volume._matmul``), so an entry matches
 the per-tuple ``volume.gramian_volume`` call and the paired form up to
 rounding, within the bound of ``VolumeBatch``, not bit for bit.  The
-matrix is the same bytes at any BLAS thread count, rank-deficient tuples
-get exactly 0, and an anchor that repeats another gets an equal column, so
-ties stay exact.
+product runs on one OpenBLAS thread, so the matrix is the same bytes at
+any BLAS thread count; rank-deficient tuples get exactly 0, and an anchor
+that repeats another gets an equal column, so ties stay exact.
 """
 
 from __future__ import annotations

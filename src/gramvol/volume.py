@@ -24,24 +24,16 @@ by up to about n * eps / 2 of its rows' norms), the k term the at most k
 elimination steps after them.  Each row is judged against its own norm,
 so the test does not change when rows are rescaled.
 
-The contractions run on BLAS, through two helpers whose bits do not
-depend on the BLAS thread count.  ``_dots`` makes one chunked ``ddot``
-call per inner product, over that entry's own two vectors: the data
-rows' Gram matrices, the anchors' norms and the paired form's D a.
+The contractions run on BLAS, through two helpers.  ``_dots`` makes one
+``ddot`` call per inner product, over that entry's own two vectors: the
+data rows' Gram matrices, the anchors' norms and the paired form's D a.
 ``_matmul`` computes every matrix product: the cross form's D a grid, as
 one product of the (k-1) B data rows with the B anchors, and the backward
-pass.  Its rule is the package's one thread-count rule.  The summed
-dimension K is added in chunks of at most 256, one BLAS call each, in
-index order, since OpenBLAS cuts a longer K into blocks at other places
-when threaded.  The row count M and the width N are brought to multiples
-of 8 with zero rows and columns, since a threaded call splits the output
-at other places, and a ragged edge there runs narrower kernels that round
-differently.  The rule was verified on OpenBLAS 0.3.31 under its SkylakeX
-(AVX-512), Haswell (AVX2, also run on AMD Zen) and Sandybridge (AVX)
-kernels: equal bytes at 1 to 4 threads on 150 seeded products with M and
-N below 700 and K below 1300, vectors and transposed operands among them.
-Pre-AVX kernels are not covered: under Nehalem and Katmai the bytes still
-change with the thread count.
+pass.  Both set numpy's bundled OpenBLAS to one thread for their calls and
+restore the caller's count after, so their bits do not depend on the
+thread count, on any OpenBLAS kernel.  The count is process-wide, so this
+holds while one Python thread at a time calls into gramvol.  Under another
+BLAS (MKL, Accelerate) the calls run as they are, unpinned.
 
 A cross entry matches the per-tuple call (a 1 x 1 cross form) and the
 paired form up to rounding, not bit for bit: a product of another shape,
@@ -51,6 +43,9 @@ are exactly 0 in every form, and equal anchors give equal columns.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +133,41 @@ def normalize(v) -> np.ndarray:
     return arr / norms[..., None]
 
 
-#: Longest stretch of n that one BLAS ``ddot`` call sees.  OpenBLAS splits a
-#: single ``ddot`` across threads above 10,000 elements, which changes its
-#: summation order; below that it runs on one thread.
-_DOT_CHUNK = 8192
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count getter and setter, or None.
+    Wheels ship it in ``numpy.libs`` (Linux, Windows) or ``numpy/.dylibs``."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_threads()
+
+
+def _one_thread(f, *args):
+    """``f(*args)`` with OpenBLAS on one thread, the caller's count restored
+    after; a plain call where the OpenBLAS calls were not found."""
+    if _OPENBLAS_THREADS is None:
+        return f(*args)
+    get, set_ = _OPENBLAS_THREADS
+    threads = get()
+    set_(1)
+    try:
+        return f(*args)
+    finally:
+        set_(threads)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,56 +176,26 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every inner product outside a matrix product (``_matmul``) goes
     through here.  ``np.vecdot`` makes one BLAS ``ddot`` call per entry
     over that entry's own two vectors, so an entry's bits depend on its
-    vectors only, never on its position in the batch.  Chunks of at most
-    ``_DOT_CHUNK`` elements, added in index order, keep each call on one
-    thread, so the bits do not depend on the BLAS thread count either.
+    vectors only, never on its position in the batch.
     """
-    out = np.vecdot(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
-    for lo in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
-        out = out + np.vecdot(x[..., lo:lo + _DOT_CHUNK], y[..., lo:lo + _DOT_CHUNK])
-    return out
-
-
-#: The thread-count rule of the module docstring: K in chunks of at most
-#: ``_MATMUL_K``, M and N brought to multiples of ``_MATMUL_ALIGN``.
-_MATMUL_K = 256
-_MATMUL_ALIGN = 8
-
-
-def _sum_k(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ y`` with K added in chunks of at most ``_MATMUL_K``, one BLAS
-    call each, in index order."""
-    out = np.matmul(x[:, :_MATMUL_K], y[:_MATMUL_K], out=out)
-    for lo in range(_MATMUL_K, x.shape[1], _MATMUL_K):
-        out += x[:, lo:lo + _MATMUL_K] @ y[lo:lo + _MATMUL_K]
-    return out
+    return _one_thread(np.vecdot, x, y)
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for a matrix ``x`` (M, K) and a matrix (K, N) or vector
-    (K,) ``y``, with bits that do not depend on the BLAS thread count.
+    (K,) ``y``, on one BLAS thread.
 
-    Every matrix product of the package goes through here, under the rule
-    of the module docstring.  A matrix ``y`` is padded with zero columns.
-    ``x`` is not copied: its first M - M mod 8 rows are a view, and its
-    last M mod 8 rows one zero-padded 8-row block, both computed into one
-    output.  So a product with K <= 256 and M and N multiples of 8 is one
-    plain BLAS call, and equal columns of ``y`` give equal output columns.
+    Every matrix product of the package goes through here.  A matrix
+    ``y`` is padded with zero columns to a width that is a multiple of 8,
+    so equal columns of ``y`` give equal output columns: a ragged edge
+    would run them through narrower kernels that round differently.
     """
     n = y.shape[1] if y.ndim == 2 else 0
-    if n % _MATMUL_ALIGN:
-        padded = np.zeros((y.shape[0], n - n % _MATMUL_ALIGN + _MATMUL_ALIGN))
+    if n % 8:
+        padded = np.zeros((y.shape[0], n + -n % 8))
         padded[:, :n] = y
-        y = padded
-    m = x.shape[0]
-    head = m - m % _MATMUL_ALIGN
-    out = np.empty((m, *y.shape[1:]))
-    _sum_k(x[:head], y, out[:head])
-    if head < m:
-        block = np.zeros((_MATMUL_ALIGN, x.shape[1]))
-        block[:m - head] = x[head:]
-        out[head:] = _sum_k(block, y)[:m - head]
-    return out[:, :n] if n % _MATMUL_ALIGN else out
+        return _one_thread(np.matmul, x, padded)[:, :n]
+    return _one_thread(np.matmul, x, y)
 
 
 def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):

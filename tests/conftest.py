@@ -96,9 +96,9 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> np.ndarray:
 
 
 #: The OpenBLAS kernel sets a thread-count check runs under: the machine's
-#: own, the AVX2 kernels (``Haswell``, which OpenBLAS also runs on AMD Zen)
-#: and the AVX kernels (``Sandybridge``).
-BLAS_CORES = [pytest.param(None, id="default-core"), "Haswell", "Sandybridge"]
+#: own, the AVX2 kernels (``Haswell``, which OpenBLAS also runs on AMD Zen),
+#: the AVX kernels (``Sandybridge``) and the pre-AVX ones (``Nehalem``).
+BLAS_CORES = [pytest.param(None, id="default-core"), "Haswell", "Sandybridge", "Nehalem"]
 
 
 def assert_same_at_1_and_2_threads(args, *, core=None, tmp_path=None, files=()):

@@ -1,6 +1,8 @@
 """Core volume math: examples, invariants, and gradient correctness."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,8 @@ from gramvol.errors import (
     NonFiniteInputError,
     ZeroVectorError,
 )
-from gramvol.volume import DEGENERATE_VOLUME, VolumeBatch, _matmul
+from gramvol import volume
+from gramvol.volume import DEGENERATE_VOLUME, VolumeBatch, _matmul, _one_thread
 
 from conftest import (
     BLAS_CORES,
@@ -377,11 +380,74 @@ class TestMatmul:
             assert got.shape == (xs @ ys).shape
             np.testing.assert_allclose(got, xs @ ys, rtol=1e-13, atol=1e-13 * max(k, 1))
 
-    def test_plain_product_at_k_256_and_width_multiple_of_8(self, rng):
-        # The rule costs nothing at the shapes the default config uses.
-        x, y = rng.standard_normal((64, 256)), rng.standard_normal((256, 192))
-        assert np.array_equal(_matmul(x, y), x @ y)
+    @pytest.mark.parametrize("k", [256, 600])
+    @pytest.mark.parametrize("m", [64, 38])
+    def test_plain_product_at_width_multiple_of_8(self, rng, m, k):
+        # At a width that is a multiple of 8 the product is one plain call,
+        # at any M and K.  The reference runs on one thread too, since this
+        # process may run BLAS on more.
+        x, y = rng.standard_normal((m, k)), rng.standard_normal((k, 192))
+        assert np.array_equal(_matmul(x, y), _one_thread(np.matmul, x, y))
 
     @pytest.mark.parametrize("core", BLAS_CORES)
     def test_bit_identical_across_blas_thread_counts(self, core):
         assert len(assert_same_at_1_and_2_threads(["-c", MATMUL_SCRIPT], core=core)) == 60
+
+    def test_pin_restores_the_thread_count_and_falls_back(self, rng, monkeypatch):
+        # Without the OpenBLAS calls the padded product runs unpinned: still
+        # the product, and equal columns of y still give equal columns.
+        # The shape is a (B, k, n) = (300, 3, 64) cross grid's.
+        x, y = rng.standard_normal((600, 64)), rng.standard_normal((64, 300))
+        y[:, 299] = y[:, 5]
+        with monkeypatch.context() as patch:
+            patch.setattr(volume, "_OPENBLAS_THREADS", None)
+            got = _matmul(x, y)
+        np.testing.assert_allclose(got, x @ y, rtol=1e-13, atol=1e-13 * 64)
+        assert np.array_equal(got[:, 299], got[:, 5])
+        if volume._OPENBLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        # A child process, so this one keeps its thread count: inside a
+        # call OpenBLAS runs on 1 thread, and after it, even one that
+        # raised, on the caller's 2 again.
+        res = subprocess.run([sys.executable, "-c", PIN_SCRIPT], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "2", "2", "2"]
+
+
+#: Prints OpenBLAS's thread count inside a pinned call, then after a
+#: ``_matmul``, a ``_dots`` and a ``_matmul`` that raises, set to 2 before.
+PIN_SCRIPT = """
+import numpy as np
+from gramvol import volume
+
+get, set_ = volume._OPENBLAS_THREADS
+set_(2)
+x = np.ones((300, 300))
+print(volume._one_thread(get))
+volume._matmul(x, x[:, :21])
+print(get())
+volume._dots(x, x)
+print(get())
+try:
+    volume._matmul(x, x[:7])
+except ValueError:
+    print(get())
+"""
+
+#: Prints the SHA-256 of ``_dots`` on vectors past 10,000 elements, where
+#: OpenBLAS would split a single ``ddot`` across threads.
+DOTS_SCRIPT = """
+import hashlib
+import numpy as np
+from gramvol.volume import _dots
+
+r = np.random.default_rng(17)
+for n in (10_001, 24_577, 100_000):
+    x = r.standard_normal((3, n))
+    print(n, hashlib.sha256(_dots(x, x[::-1]).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("core", BLAS_CORES)
+def test_long_dots_bit_identical_across_blas_thread_counts(core):
+    assert len(assert_same_at_1_and_2_threads(["-c", DOTS_SCRIPT], core=core)) == 3
