@@ -4,14 +4,25 @@ Commands exchange data through line-delimited JSON embedding files (one
 modality per file) and write matrices/traces as CSV.  Each file is loaded
 as one (N, n) float64 array and, unless --no-normalize, scaled row-wise
 to unit norm by one ``normalize`` call.  Diagnostics go to stderr; stdout
-carries data only.  ``eval`` and ``metric`` print one JSON line; their
---out file holds that line, or a header line and a value line of CSV when
-the path ends in ``.csv``.  With --no-normalize, ``volume`` takes any
-finite vectors as they are, while ``simmat``, ``eval`` and ``metric``
-still need unit rows and exit 2 ("row off unit norm") on a row more than
-1e-10 off.  ``volume`` prints a tab-separated table whose id cells are
-quoted as CSV needs (an id holding a tab, a quote, LF or CR).  Exit codes
-are stable, and the command group maps each library error to one:
+carries data only.
+
+Module scope imports click, the standard library and ``errors`` only, so
+``--help``, a command's ``--help`` and a usage error never import numpy.
+A command loads what it uses (``_load``) when it first calls into it:
+``volume`` loads ``formats`` and ``volume``, ``simmat`` also
+``similarity``, ``eval`` and ``metric`` also ``metrics``, and ``train``
+``formats`` and the training modules.  The library functions the
+commands call are module-level stand-ins (``_lazy``), so patching one of
+these globals reaches every call.
+
+``eval`` and ``metric`` print one JSON line; their --out file holds that
+line, or a header line and a value line of CSV when the path ends in
+``.csv``.  With --no-normalize, ``volume`` takes any finite vectors as
+they are, while ``simmat``, ``eval`` and ``metric`` still need unit rows
+and exit 2 ("row off unit norm") on a row more than 1e-10 off.  ``volume``
+prints a tab-separated table whose id cells are quoted as CSV needs (an
+id holding a tab, a quote, LF or CR).  Exit codes are stable, and the
+command group maps each library error to one:
 
     0  success
     2  embedding file parse/data error, one "path:line:" message (a bad
@@ -19,7 +30,8 @@ are stable, and the command group maps each library error to one:
        vector element that is not a JSON number, a wrong vector length,
        a second modality, a duplicate id, NaN or Inf, bytes that are not
        UTF-8); a file that cannot be read; files of different dimensions;
-       for simmat, eval and metric, two files with the same modality name
+       for simmat, eval and metric, two files with the same modality name;
+       under --no-normalize, a vector whose squared norm overflows
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
@@ -62,33 +74,50 @@ from .errors import (
     UnknownAnchorError,
     ZeroVectorError,
 )
-from .formats import (
-    _atomic_write_text,
-    build_train_setup,
-    read_embeddings,
-    read_key_values,
-    write_checkpoint,
-    write_trace_csv,
-)
-from .metrics import DEFAULT_KS, alignment_metric, retrieval_recall
-from .similarity import ModalityBatch, MultimodalBatch, cross_volume_matrix
-from .volume import VolumeBatch, normalize
+
+#: ``len(sys.modules)`` at the last heap freeze while ``run()`` runs a
+#: command, None otherwise.
+_frozen_modules: int | None = None
 
 
-def generate_dataset(spec):
-    """``synth.generate_dataset``, whose module loads on the first call, so
-    that the scoring commands never import it."""
-    from .synth import generate_dataset
+def _load(module: str):
+    """``gramvol.<module>``, imported on first use.
 
-    return generate_dataset(spec)
+    Under ``run()``, a load that brought new modules in freezes the heap
+    again, so what a command loads is frozen like the start-up imports.
+    """
+    global _frozen_modules
+    name = f"{__package__}.{module}"
+    __import__(name)  # the import statement's path, which ``-X importtime`` reports
+    loaded = sys.modules[name]
+    if _frozen_modules is not None and len(sys.modules) > _frozen_modules:
+        gc.freeze()
+        _frozen_modules = len(sys.modules)
+    return loaded
 
 
-def run_training(config, dataset, embed_dim):
-    """``train.train``, whose module loads on the first call, so that the
-    scoring commands never import it."""
-    from .train import train
+def _lazy(module: str, name: str):
+    """A module-level stand-in for ``<module>.<name>`` that loads the module
+    when called.  Commands call the stand-in as a global of this module, so
+    replacing that global (a test's ``monkeypatch``, the benchmark's
+    tracer) reaches every call."""
 
-    return train(config, dataset, embed_dim=embed_dim)
+    def stand_in(*args, **kwargs):
+        return getattr(_load(module), name)(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    stand_in.__doc__ = f"``{module}.{name}``, whose module loads on the first call."
+    return stand_in
+
+
+read_embeddings = _lazy("formats", "read_embeddings")
+_atomic_write_text = _lazy("formats", "_atomic_write_text")
+normalize = _lazy("volume", "normalize")
+cross_volume_matrix = _lazy("similarity", "cross_volume_matrix")
+retrieval_recall = _lazy("metrics", "retrieval_recall")
+alignment_metric = _lazy("metrics", "alignment_metric")
+generate_dataset = _lazy("synth", "generate_dataset")
+run_training = _lazy("train", "train")
 
 
 #: Library error -> exit code; any other ``GramVolError`` exits 1.
@@ -191,7 +220,15 @@ def _load_files(paths, do_normalize):
     if len(set(dims.values())) > 1:
         raise DimensionMismatchError(f"modality files have different dimensions: {dims}")
     if do_normalize:
-        files = [dataclasses.replace(f, rows=normalize(f.rows)) for f in files]
+        return [dataclasses.replace(f, rows=normalize(f.rows)) for f in files]
+    # Rows taken as they are: one whose squared norm overflows would
+    # overflow every volume it enters.
+    for path, f in zip(paths, files):
+        over = (_load("volume").squared_norms(f.rows) == float("inf")).nonzero()[0]
+        if over.size:
+            raise NonFiniteInputError(
+                f"{path}: the squared norm of id {f.ids[over[0]]!r} overflows; "
+                "run without --no-normalize")
     return files
 
 
@@ -229,11 +266,12 @@ def _anchor_batch(files, anchor_name, ids=None):
     anchor = files[names.index(anchor_name)]
     ordered = [anchor, *(f for f in files if f is not anchor)]
     ids = ordered[1].ids if ids is None else ids
+    similarity = _load("similarity")
     anchor, *datas = (
-        ModalityBatch(rows=rows, modality_name=f.modality)
+        similarity.ModalityBatch(rows=rows, modality_name=f.modality)
         for f, rows in zip(ordered, _rows(ordered, ids))
     )
-    return ids, MultimodalBatch(anchor=anchor, datas=tuple(datas))
+    return ids, similarity.MultimodalBatch(anchor=anchor, datas=tuple(datas))
 
 
 @main.command("volume")
@@ -250,7 +288,7 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
     vols = []
     if ids:
         mats = _rows(files, ids)
-        vols = VolumeBatch(mats[0], mats[1:], paired=True).values
+        vols = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True).values
     lines = ["id\tk\tvolume"]
     lines.extend("\t".join((_cell(rec_id, "\t"), str(len(files)), f"{vol:.12g}"))
                  for rec_id, vol in zip(ids, vols))
@@ -285,10 +323,11 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
 @click.pass_obj
 def cmd_train(opts: CliOptions, config_path):
     """Generate the synthetic dataset and train; write trace + checkpoint."""
-    kv = read_key_values(config_path)
+    formats = _load("formats")
+    kv = formats.read_key_values(config_path)
     if opts.seed is not None:
         kv["seed"] = str(opts.seed)
-    spec, config = build_train_setup(kv)
+    spec, config = formats.build_train_setup(kv)
     out_dir = opts.out if opts.out is not None else Path(".")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,11 +337,11 @@ def cmd_train(opts: CliOptions, config_path):
     except DivergedTrainingError as exc:
         if exc.trace is not None:
             with _writing(out_dir):
-                write_trace_csv(out_dir / "trace.csv", exc.trace)
+                formats.write_trace_csv(out_dir / "trace.csv", exc.trace)
         raise
     with _writing(out_dir):
-        write_trace_csv(out_dir / "trace.csv", result.trace)
-        write_checkpoint(
+        formats.write_trace_csv(out_dir / "trace.csv", result.trace)
+        formats.write_checkpoint(
             out_dir / "checkpoint.bin", out_dir / "checkpoint.json", result.params
         )
     click.echo(f"wrote {out_dir / 'trace.csv'} and {out_dir / 'checkpoint.bin'}", err=True)
@@ -311,11 +350,13 @@ def cmd_train(opts: CliOptions, config_path):
 @main.command("eval")
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @click.option("--anchor", "anchor_name", required=True)
-@click.option("--ks", default=",".join(map(str, DEFAULT_KS)),
+@click.option("--ks", default=None,
               help="Comma-separated recall cutoffs.")
 @click.pass_obj
 def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     """Retrieval recall over the cross-volume matrix (diagonal = match)."""
+    if ks is None:
+        ks = ",".join(map(str, _load("metrics").DEFAULT_KS))
     try:
         k_values = [int(k) for k in ks.split(",") if k.strip()]
         if not k_values:
@@ -349,12 +390,19 @@ def cmd_metric(opts: CliOptions, paths):
 
 
 def run() -> None:
-    """Process entry point: freeze the import-time heap, then run ``main``.
+    """Process entry point: freeze the heap at dispatch and after each load
+    that imports modules, then run ``main``.
 
-    Everything imported so far lives until the process ends, so moving it
-    to the permanent generation spares the full collections at interpreter
-    exit a walk over it.  The training modules are not among it: ``train``
-    imports them after the freeze.
+    Everything imported lives until the process ends, so moving it to the
+    permanent generation spares the full collections at interpreter exit a
+    walk over it.  At dispatch that is click and the standard library; the
+    numerics and training modules a command loads (``_load``) are frozen
+    after their import.  In-process calls of ``main`` never freeze.
     """
+    global _frozen_modules
     gc.freeze()
-    main()
+    _frozen_modules = len(sys.modules)
+    try:
+        main()
+    finally:
+        _frozen_modules = None

@@ -58,6 +58,7 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 #: Norms below this are treated as a degenerate (zero) encoder output.
 ZERO_NORM_CUTOFF = 1e-30
@@ -119,18 +120,38 @@ def normalize(v) -> np.ndarray:
 
     ``v`` is one vector (n,) or a stack of rows (N, n), each scaled by its
     own norm; a row's norm is ``_dots`` of the row with itself, so it does
-    not depend on the row's position or on the BLAS thread count.  Raises
-    ``ZeroVectorError`` when a norm is below ``ZERO_NORM_CUTOFF`` (a
-    degenerate encoder output) and ``NonFiniteInputError`` on NaN/Inf.
+    not depend on the row's position or on the BLAS thread count.  A row
+    whose squared norm overflows, or falls below the normal floats, is
+    first divided by its largest |element|, so it still gets its unit row
+    and its true norm.  Raises ``ZeroVectorError`` when a norm is below
+    ``ZERO_NORM_CUTOFF`` (a degenerate encoder output) and
+    ``NonFiniteInputError`` on NaN/Inf.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise DimensionMismatchError(f"expected a vector or rows, got shape {arr.shape}")
     _require_finite(arr)
-    norms = np.sqrt(_dots(arr, arr))
-    if (norms < ZERO_NORM_CUTOFF).any():
-        raise ZeroVectorError(f"cannot normalize vector with norm {float(norms.min())!r}")
+    squares = squared_norms(arr)
+    scale = np.ones(squares.shape)
+    far = (squares < _TINY) | (squares == np.inf)
+    if far.any():
+        biggest = np.abs(arr[far]).max(axis=-1, initial=0.0)
+        scale[far] = np.where(biggest > 0, biggest, 1.0)
+        arr = arr / scale[..., None]
+        squares = _dots(arr, arr)
+    norms = np.sqrt(squares)
+    low = norms < ZERO_NORM_CUTOFF / scale
+    if low.any():
+        true_norm = float((norms[low] * scale[low]).min())
+        raise ZeroVectorError(f"cannot normalize vector with norm {true_norm!r}")
     return arr / norms[..., None]
+
+
+def squared_norms(arr: np.ndarray) -> np.ndarray:
+    """``_dots`` of each row with itself, inf where that overflows, with no
+    floating-point warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _dots(arr, arr)
 
 
 def _openblas_threads():

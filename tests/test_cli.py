@@ -708,6 +708,43 @@ class TestNoNormalize:
         assert not out.exists()
 
 
+class TestNormRange:
+    """Finite rows whose squared norm leaves the float range."""
+
+    @pytest.fixture
+    def huge_files(self, tmp_path):
+        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[1.0, 0.0]]))
+        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[3e200, 4e200]]))
+        return [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+
+    def test_overflowing_square_still_normalized(self, tmp_path, huge_files):
+        res = run_cli("volume", *huge_files)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "id\tk\tvolume\np\t2\t0.8\n"
+        res = run_cli("--out", tmp_path / "s.csv", "simmat", *huge_files, "--anchor", "a")
+        assert (res.returncode, res.stderr) == (0, f"wrote {tmp_path / 's.csv'}\n")
+        assert (tmp_path / "s.csv").read_text() == "id,p\np,0.8\n"
+        res = run_cli("metric", *huge_files)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["mean_matched_volume"] == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("command", ["volume", "simmat", "eval", "metric"])
+    def test_overflowing_square_under_no_normalize_exit_2(self, huge_files, command):
+        extra = ["--anchor", "a"] if command in ("simmat", "eval") else []
+        res = run_cli("--no-normalize", command, *huge_files, *extra)
+        assert res.returncode == 2
+        assert res.stderr == (f"error: {huge_files[1]}: the squared norm of id 'p' "
+                              "overflows; run without --no-normalize\n")
+        assert res.stdout == ""
+
+    def test_underflowing_square_reports_true_norm(self, tmp_path):
+        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[1.0, 0.0]]))
+        write_modality(tmp_path / "t.jsonl", "t", ["p"], np.array([[3e-200, 4e-200]]))
+        res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "t.jsonl")
+        assert res.returncode == 2
+        assert res.stderr == "error: cannot normalize vector with norm 5e-200\n"
+
+
 class TestUnwritableOut:
     def test_train_out_is_existing_file_exit_5(self, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -772,20 +809,25 @@ class TestProcessEntry:
 TRAINING_MODULES = {"gramvol.train", "gramvol.losses", "gramvol.optim",
                     "gramvol.encoders", "gramvol.synth", "logging"}
 
+#: Modules that only a command body needs.
+NUMERICS_MODULES = {"numpy", "gramvol.formats", "gramvol.volume", "gramvol.similarity",
+                    "gramvol.metrics"}
 
-def imported_modules(*args):
+
+def imported_modules(*args, code=0):
     """Modules a fresh interpreter imports running ``python -X importtime
-    ARGS``; every one must exit 0."""
+    ARGS``; every one must exit with ``code``."""
     res = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
                          capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
             if line.startswith("import time:")}
 
 
 class TestImportSets:
-    """The scoring commands and a bare ``import gramvol`` never import the
-    training modules; the public names still resolve to their owners'."""
+    """``--help`` and usage errors import no numerics, each scoring command
+    only its own and no training module, and a bare ``import gramvol``
+    no training module; the public names still resolve to their owners'."""
 
     @pytest.mark.parametrize("command", ["--help", "volume", "simmat", "eval", "metric"])
     def test_scoring_commands_skip_training_modules(self, orthogonal_pair_files, command):
@@ -798,9 +840,100 @@ class TestImportSets:
             "eval": ["eval", *paths, "--anchor", "anchor"],
             "metric": ["metric", *paths],
         }[command]
+        numerics = {
+            "--help": set(),
+            "volume": {"numpy", "gramvol.formats", "gramvol.volume"},
+            "simmat": {"numpy", "gramvol.formats", "gramvol.volume", "gramvol.similarity"},
+            "eval": NUMERICS_MODULES,
+            "metric": NUMERICS_MODULES,
+        }[command]
         modules = imported_modules("-m", "gramvol", *args)
-        assert {"gramvol.cli", "gramvol.formats"} <= modules
+        assert "gramvol.cli" in modules
+        assert modules & NUMERICS_MODULES == numerics
         assert not modules & TRAINING_MODULES
+
+    @pytest.mark.parametrize("args", [
+        ["simmat", "a.jsonl", "m.jsonl"],
+        ["eval", "a.jsonl", "--anchor"],
+        ["--seed", "x", "train", "t.cfg"],
+        ["volume"],
+        ["nosuch"],
+        *([command, "--help"] for command in ("volume", "simmat", "train", "eval", "metric")),
+    ], ids=" ".join)
+    def test_help_and_usage_errors_skip_numerics(self, args):
+        code = 0 if args[-1] == "--help" else 2
+        modules = imported_modules("-m", "gramvol", *args, code=code)
+        assert "gramvol.cli" in modules
+        assert not modules & (NUMERICS_MODULES | TRAINING_MODULES)
+
+    def test_run_freezes_what_a_command_loads(self, orthogonal_pair_files):
+        # Freeze counts at dispatch and when simmat reaches its product,
+        # after its numerics imports, in a process entered through run().
+        code = (
+            "import gc, sys\n"
+            "import gramvol.cli as cli\n"
+            "seen = []\n"
+            "group, product = cli.main, cli.cross_volume_matrix\n"
+            "def main():\n"
+            "    seen.append(('dispatch', gc.get_freeze_count()))\n"
+            "    group()\n"
+            "def cross_volume_matrix(batch):\n"
+            "    seen.append(('product', gc.get_freeze_count()))\n"
+            "    return product(batch)\n"
+            "cli.main, cli.cross_volume_matrix = main, cross_volume_matrix\n"
+            "sys.argv[0] = 'gramvol'\n"
+            "try:\n"
+            "    cli.run()\n"
+            "finally:\n"
+            "    print(dict(seen), file=sys.__stderr__)\n"
+        )
+        paths = [orthogonal_pair_files / n for n in ("a.jsonl", "m.jsonl")]
+        res = subprocess.run(
+            [sys.executable, "-c", code, "--out", orthogonal_pair_files / "s.csv",
+             "simmat", *paths, "--anchor", "anchor"], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        seen = eval(res.stderr.strip().splitlines()[-1])
+        assert 0 < seen["dispatch"] < seen["product"]
+
+    @pytest.mark.parametrize("name, command", [
+        ("read_embeddings", "volume"),
+        ("normalize", "volume"),
+        ("cross_volume_matrix", "simmat"),
+        ("_atomic_write_text", "simmat"),
+        ("retrieval_recall", "eval"),
+        ("alignment_metric", "metric"),
+        ("generate_dataset", "train"),
+        ("run_training", "train"),
+    ])
+    def test_patched_global_intercepts_command(self, orthogonal_pair_files, monkeypatch,
+                                               name, command):
+        # The names the benchmark's tracer wraps on gramvol.cli: replacing
+        # the module global must reach the command's call.
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        original, calls = getattr(cli_mod, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, spy)
+        tmp = orthogonal_pair_files
+        cfg = tmp / "train.cfg"
+        cfg.write_text(TestTrainCommand.CONFIG.replace("epochs = 2", "epochs = 0"))
+        paths = [str(tmp / n) for n in ("a.jsonl", "m.jsonl")]
+        args = {
+            "volume": ["volume", *paths],
+            "simmat": ["--out", str(tmp / "s.csv"), "simmat", *paths, "--anchor", "anchor"],
+            "eval": ["eval", *paths, "--anchor", "anchor"],
+            "metric": ["metric", *paths],
+            "train": ["--out", str(tmp / "run"), "train", str(cfg)],
+        }[command]
+        result = CliRunner().invoke(cli_mod.main, args)
+        assert result.exit_code == 0, result.output
+        assert calls and set(calls) == {name}
 
     def test_bare_import(self):
         modules = imported_modules("-c", "import gramvol")

@@ -47,6 +47,36 @@ class TestNormalize:
         with pytest.raises(NonFiniteInputError):
             gv.normalize([1.0, float("nan")])
 
+    @pytest.mark.filterwarnings("error")
+    def test_squared_norm_past_float_max(self):
+        # 3e200**2 overflows; the row's norm, 5e200, does not.
+        rows = np.array([[3e200, 4e200], [1.7e308, -1.7e308], [0.0, 2.0]])
+        np.testing.assert_array_equal(gv.normalize(rows[0]), [0.6, 0.8])
+        np.testing.assert_allclose(gv.normalize(rows),
+                                   [[0.6, 0.8], [0.5 ** 0.5, -0.5 ** 0.5], [0.0, 1.0]],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_other_rows_keep_their_bits(self, rng):
+        rows = rng.standard_normal((6, 5))
+        mixed = np.vstack([rows[:3], [[0.0, 3e200, 0.0, -4e200, 0.0]], rows[3:]])
+        plain = rows / np.sqrt(np.vecdot(rows, rows))[:, None]
+        out = gv.normalize(mixed)
+        assert out[[0, 1, 2, 4, 5, 6]].tobytes() == plain.tobytes()
+        np.testing.assert_allclose(out[3], [0.0, 0.6, 0.0, -0.8, 0.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v, norm", [
+        ([1e-200, 1e-200], 2 ** 0.5 * 1e-200),
+        ([3e-170, 0.0, 4e-170], 5e-170),
+        ([1e-310, 0.0], 1e-310),
+    ], ids=["pair", "triple", "subnormal"])
+    def test_squared_norm_below_normal_floats_reports_true_norm(self, v, norm):
+        with pytest.raises(ZeroVectorError, match="norm") as info:
+            gv.normalize(np.array([[1.0, 0.0, 0.0][:len(v)], v]))
+        reported = float(str(info.value).rsplit(" ", 1)[1])
+        assert reported == pytest.approx(norm, rel=1e-15, abs=0)
+
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (6,), elements=st.floats(-10, 10)))
     def test_unit_norm_and_direction(self, v):
