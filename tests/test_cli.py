@@ -870,7 +870,7 @@ class TestImportSets:
         # Freeze counts at dispatch and when simmat reaches its product,
         # after its numerics imports, in a process entered through run().
         code = (
-            "import gc, sys\n"
+            "import gc, json, sys\n"
             "import gramvol.cli as cli\n"
             "seen = []\n"
             "group, product = cli.main, cli.cross_volume_matrix\n"
@@ -885,14 +885,14 @@ class TestImportSets:
             "try:\n"
             "    cli.run()\n"
             "finally:\n"
-            "    print(dict(seen), file=sys.__stderr__)\n"
+            "    print(json.dumps(dict(seen)), file=sys.__stderr__)\n"
         )
         paths = [orthogonal_pair_files / n for n in ("a.jsonl", "m.jsonl")]
         res = subprocess.run(
             [sys.executable, "-c", code, "--out", orthogonal_pair_files / "s.csv",
              "simmat", *paths, "--anchor", "anchor"], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        seen = eval(res.stderr.strip().splitlines()[-1])
+        seen = json.loads(res.stderr.strip().splitlines()[-1])
         assert 0 < seen["dispatch"] < seen["product"]
 
     @pytest.mark.parametrize("name, command", [
