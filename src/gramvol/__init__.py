@@ -13,20 +13,16 @@ from . import errors
 
 __version__ = "0.1.0"
 
-#: Owner module -> the public names it defines.
+#: Owner module -> the public names it defines; every other name is
+#: imported from its module, e.g. ``gramvol.losses.loss_report``.
 _EXPORTS = {
-    "encoders": ("ToyEncoder",),
-    "losses": ("DamHead", "LossReport", "Temperature", "gram_contrastive_loss",
-               "hard_negative_mine", "loss_report", "total_loss"),
-    "metrics": ("AlignmentScore", "alignment_metric", "pearson", "retrieval_recall"),
-    "optim": ("AdamState", "adam_step"),
+    "losses": ("gram_contrastive_loss", "total_loss"),
+    "metrics": ("pearson",),
     "similarity": ("ModalityBatch", "MultimodalBatch", "cross_volume_matrix",
                    "cross_volumes"),
-    "synth": ("MultimodalDataset", "SyntheticSpec", "generate_dataset", "split_dataset"),
-    "train": ("TraceRow", "TrainConfig", "TrainingTrace", "TrainResult",
-              "cosine_pairwise_report", "evaluate", "train"),
-    "volume": ("Volume", "VolumeGradient", "gramian_volume", "normalize",
-               "volume_gradient"),
+    "synth": ("SyntheticSpec", "generate_dataset"),
+    "train": ("TrainConfig", "train"),
+    "volume": ("gramian_volume", "normalize", "volume_gradient"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

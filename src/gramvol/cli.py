@@ -18,11 +18,12 @@ these globals reaches every call.
 ``eval`` and ``metric`` print one JSON line; their --out file holds that
 line, or a header line and a value line of CSV when the path ends in
 ``.csv``.  With --no-normalize, ``volume`` takes any finite vectors as
-they are, while ``simmat``, ``eval`` and ``metric`` still need unit rows
-and exit 2 ("row off unit norm") on a row more than 1e-10 off.  ``volume``
-prints a tab-separated table whose id cells are quoted as CSV needs (an
-id holding a tab, a quote, LF or CR).  Exit codes are stable, and the
-command group maps each library error to one:
+they are whose Gram determinant stays finite, while ``simmat``, ``eval``
+and ``metric`` still need unit rows and exit 2 ("row off unit norm") on
+a row more than 1e-10 off.  ``volume`` prints a tab-separated table
+whose id cells are quoted as CSV needs (an id holding a tab, a quote, LF
+or CR).  Exit codes are stable, and the command group maps each library
+error to one:
 
     0  success
     2  embedding file parse/data error, one "path:line:" message (a bad
@@ -31,7 +32,8 @@ command group maps each library error to one:
        a second modality, a duplicate id, NaN or Inf, bytes that are not
        UTF-8); a file that cannot be read; files of different dimensions;
        for simmat, eval and metric, two files with the same modality name;
-       under --no-normalize, a vector whose squared norm overflows
+       under --no-normalize, a vector whose squared norm overflows or,
+       for volume, a tuple whose Gram determinant overflows
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
@@ -287,8 +289,17 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
         ids = [i.strip() for i in id_filter.split(",") if i.strip()]
     vols = []
     if ids:
+        import numpy as np
+
         mats = _rows(files, ids)
-        vols = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True)
+        # Unit rows keep every determinant within 1; raw rows may overflow it.
+        over = (~np.isfinite(batch.gram_det)).nonzero()[0]
+        if over.size:
+            raise NonFiniteInputError(f"the Gram determinant of id {ids[over[0]]!r} "
+                                      "overflows; run without --no-normalize")
+        vols = batch.values
     lines = ["id\tk\tvolume"]
     lines.extend("\t".join((_cell(rec_id, "\t"), str(len(files)), f"{vol:.12g}"))
                  for rec_id, vol in zip(ids, vols))

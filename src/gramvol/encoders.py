@@ -7,7 +7,6 @@ rotate an arbitrary full-rank view of the shared latent into alignment.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from .errors import ZeroVectorError
 from .volume import ZERO_NORM_CUTOFF, _matmul
-
-logger = logging.getLogger(__name__)
 
 HIDDEN_WIDTH = 128
 
@@ -32,23 +29,15 @@ class ToyEncoder:
 
     @classmethod
     def init(cls, raw_dim: int, embed_dim: int, rng: np.random.Generator) -> "ToyEncoder":
-        enc = cls(
+        return cls(
             w1=rng.standard_normal((raw_dim, HIDDEN_WIDTH)) / math.sqrt(raw_dim),
             b1=np.zeros(HIDDEN_WIDTH),
             w2=rng.standard_normal((HIDDEN_WIDTH, embed_dim)) / math.sqrt(HIDDEN_WIDTH),
             b2=np.zeros(embed_dim),
         )
-        logger.info(
-            "encoder %d->%d->%d with %d parameters",
-            raw_dim, HIDDEN_WIDTH, embed_dim, enc.param_count(),
-        )
-        return enc
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Unit-norm embedding rows for raw input rows."""

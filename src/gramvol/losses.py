@@ -161,7 +161,7 @@ class DamHead:
 
     def __init__(self, k: int, n: int, rng: np.random.Generator):
         in_dim, h = k * n, 4 * n
-        self.k, self.n = k, n
+        self.n = n
         self.w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
         self.b1 = np.zeros(h)
         self.w2 = rng.standard_normal((h, h)) / math.sqrt(h)

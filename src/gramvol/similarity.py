@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentBatchError
-from .volume import VolumeBatch
+from .volume import VolumeBatch, squared_norms
 
 #: Maximum deviation from unit norm tolerated in a ModalityBatch row.
 UNIT_NORM_TOL = 1e-10
@@ -47,7 +47,7 @@ class ModalityBatch:
             raise InconsistentBatchError(
                 f"batch {self.modality_name!r} contains NaN or Inf"
             )
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.sqrt(squared_norms(rows))
         worst = float(np.abs(norms - 1.0).max())
         if worst > UNIT_NORM_TOL:
             raise InconsistentBatchError(

@@ -14,6 +14,7 @@ import pytest
 
 import gramvol as gv
 from gramvol.formats import write_embeddings
+from gramvol.metrics import alignment_metric
 
 from conftest import assert_same_at_1_and_2_threads, unit_rows
 
@@ -543,7 +544,7 @@ class TestMetricCommand:
                 for m in mats[1:]
             ),
         )
-        expected = gv.alignment_metric(batch)
+        expected = alignment_metric(batch)
         assert report["mean_matched_volume"] == pytest.approx(
             expected.mean_matched_volume, abs=1e-12
         )
@@ -735,6 +736,16 @@ class TestNormRange:
         assert res.returncode == 2
         assert res.stderr == (f"error: {huge_files[1]}: the squared norm of id 'p' "
                               "overflows; run without --no-normalize\n")
+        assert res.stdout == ""
+
+    def test_overflowing_gram_determinant_under_no_normalize_exit_2(self, tmp_path):
+        # Each squared norm is finite; their product, the determinant, is not.
+        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[0.0, 1e150]]))
+        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[1e100, 0.0]]))
+        res = run_cli("--no-normalize", "volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        assert res.returncode == 2
+        assert res.stderr == ("error: the Gram determinant of id 'p' overflows; "
+                              "run without --no-normalize\n")
         assert res.stdout == ""
 
     def test_underflowing_square_reports_true_norm(self, tmp_path):
@@ -939,6 +950,14 @@ class TestImportSets:
         modules = imported_modules("-c", "import gramvol")
         assert "gramvol" in modules
         assert not modules & TRAINING_MODULES
+
+    def test_train_imports_no_logging(self, tmp_path):
+        # Training reports through its trace only; nothing logs.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TestTrainCommand.CONFIG.replace("epochs = 2", "epochs = 1"))
+        modules = imported_modules("-m", "gramvol", "--out", tmp_path / "run", "train", cfg)
+        assert TRAINING_MODULES - {"logging"} <= modules
+        assert "logging" not in modules
 
     def test_public_names_are_their_owners(self):
         assert set(gv.__all__) <= set(dir(gv))

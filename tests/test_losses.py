@@ -15,6 +15,7 @@ from gramvol.losses import (
     Temperature,
     _direction,
     contrastive,
+    hard_negative_mine,
     loss_report,
 )
 from gramvol.train import cosine_pairwise_report
@@ -85,19 +86,19 @@ class TestGramContrastiveLoss:
 class TestHardNegativeMine:
     def test_two_sample_batch(self):
         v = np.array([[0.0, 0.3], [0.7, 0.0]])
-        np.testing.assert_array_equal(gv.hard_negative_mine(v), [1, 0])
+        np.testing.assert_array_equal(hard_negative_mine(v), [1, 0])
 
     def test_argmin_selection(self):
         v = np.array([[0.0, 0.9, 0.2], [0.1, 0.0, 0.8], [0.5, 0.4, 0.0]])
-        assert gv.hard_negative_mine(v)[0] == 2
+        assert hard_negative_mine(v)[0] == 2
 
     def test_tie_breaks_to_lowest_index(self):
         v = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        np.testing.assert_array_equal(gv.hard_negative_mine(v), [1, 0, 0])
+        np.testing.assert_array_equal(hard_negative_mine(v), [1, 0, 0])
 
     def test_small_batch_rejected(self):
         with pytest.raises(BatchTooSmallError):
-            gv.hard_negative_mine(np.array([[0.0]]))
+            hard_negative_mine(np.array([[0.0]]))
 
 
 class TestTotalLoss:

@@ -14,6 +14,7 @@ from gramvol.errors import (
     DimensionMismatchError,
     NonSquareError,
 )
+from gramvol.metrics import alignment_metric, retrieval_recall
 
 from conftest import unit_rows
 
@@ -21,14 +22,14 @@ from conftest import unit_rows
 class TestRetrievalRecall:
     def test_perfect_alignment(self):
         v = 1.0 - np.eye(4)
-        assert gv.retrieval_recall(v, ks=(1,))[1] == 1.0
+        assert retrieval_recall(v, ks=(1,))[1] == 1.0
 
     def test_constant_matrix_tie_break(self):
         # Every candidate ties; only row 0's diagonal survives the
         # lowest-index tie-break, so R@1 = 1/B.
         b = 4
         v = np.full((b, b), 0.5)
-        assert gv.retrieval_recall(v, ks=(1,))[1] == pytest.approx(1.0 / b)
+        assert retrieval_recall(v, ks=(1,))[1] == pytest.approx(1.0 / b)
         # enumerated ranks: diagonal of row i is preceded by i tied columns
         from gramvol.metrics import _diagonal_ranks
 
@@ -36,38 +37,38 @@ class TestRetrievalRecall:
 
     def test_reversed_diagonal_worst_case(self):
         v = np.eye(4)  # matched entries largest, everything else smaller
-        assert gv.retrieval_recall(v, ks=(1,))[1] == 0.0
+        assert retrieval_recall(v, ks=(1,))[1] == 0.0
 
     def test_recall_at_b_is_one(self, rng):
         v = rng.uniform(size=(6, 6))
-        assert gv.retrieval_recall(v, ks=(6,))[6] == 1.0
+        assert retrieval_recall(v, ks=(6,))[6] == 1.0
 
     def test_monotone_in_k(self, rng):
         v = rng.uniform(size=(8, 8))
-        r = gv.retrieval_recall(v, ks=(1, 5, 8))
+        r = retrieval_recall(v, ks=(1, 5, 8))
         assert 0.0 <= r[1] <= r[5] <= r[8] <= 1.0
 
     def test_shift_invariance(self, rng):
         v = rng.uniform(size=(5, 5))
-        base = gv.retrieval_recall(v, ks=(1, 2, 5))
-        shifted = gv.retrieval_recall(v + 3.7, ks=(1, 2, 5))
+        base = retrieval_recall(v, ks=(1, 2, 5))
+        shifted = retrieval_recall(v + 3.7, ks=(1, 2, 5))
         assert base == shifted
 
     def test_nonsquare_rejected(self):
         with pytest.raises(NonSquareError):
-            gv.retrieval_recall(np.zeros((2, 3)), ks=(1,))
+            retrieval_recall(np.zeros((2, 3)), ks=(1,))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     def test_bounds(self, b, seed):
         v = np.random.default_rng(seed).uniform(size=(b, b))
-        r = gv.retrieval_recall(v, ks=(1, b))
+        r = retrieval_recall(v, ks=(1, b))
         assert 0.0 <= r[1] <= 1.0
         assert r[b] == 1.0
 
     def test_report_fields(self, rng):
         v = rng.uniform(size=(12, 12))
-        rep = gv.retrieval_recall(v)  # the default cutoffs 1, 5 and 10
+        rep = retrieval_recall(v)  # the default cutoffs 1, 5 and 10
         assert list(rep) == [1, 5, 10]
         assert rep[1] <= rep[5] <= rep[10]
 
@@ -79,7 +80,7 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=rows),
             datas=(gv.ModalityBatch(rows=rows.copy()),),
         )
-        score = gv.alignment_metric(batch)
+        score = alignment_metric(batch)
         assert score.mean_matched_volume == 0.0
         assert score.one_minus_gram == 1.0
 
@@ -89,7 +90,7 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=e[:2]),
             datas=(gv.ModalityBatch(rows=e[2:]),),
         )
-        score = gv.alignment_metric(batch)
+        score = alignment_metric(batch)
         assert score.mean_matched_volume == 1.0
         assert score.one_minus_gram == 0.0
 
@@ -102,14 +103,14 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=anchor),
             datas=(gv.ModalityBatch(rows=data),),
         )
-        assert gv.alignment_metric(batch).mean_matched_volume == pytest.approx(0.5, abs=1e-12)
+        assert alignment_metric(batch).mean_matched_volume == pytest.approx(0.5, abs=1e-12)
 
     def test_complement_identity(self, rng):
         batch = gv.MultimodalBatch(
             anchor=gv.ModalityBatch(rows=unit_rows(rng, 5, 6)),
             datas=(gv.ModalityBatch(rows=unit_rows(rng, 5, 6)),),
         )
-        score = gv.alignment_metric(batch)
+        score = alignment_metric(batch)
         assert score.one_minus_gram == 1.0 - score.mean_matched_volume
 
 

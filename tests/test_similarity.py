@@ -5,6 +5,7 @@ import pytest
 
 import gramvol as gv
 from gramvol.errors import InconsistentBatchError
+from gramvol.losses import Temperature, loss_report
 
 from conftest import assert_same_at_1_and_2_threads, unit_rows
 
@@ -29,6 +30,11 @@ class TestModalityBatch:
     def test_rejects_nan(self):
         with pytest.raises(InconsistentBatchError):
             gv.ModalityBatch(rows=np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_row_without_warning(self):
+        with pytest.raises(InconsistentBatchError, match="off unit norm by inf"):
+            gv.ModalityBatch(rows=np.array([[3e200, 4e200]]))
 
     def test_rejects_mismatched_members(self, rng):
         a = gv.ModalityBatch(rows=unit_rows(rng, 3, 4))
@@ -152,7 +158,7 @@ class TestCrossVolumeMatrix:
         values = gv.cross_volumes(anchor, datas)
         assert np.array_equal(values[dup], np.zeros((len(dup), b)))
         assert (np.delete(values, dup, axis=0) > 1e-3).all()
-        rep = gv.loss_report(anchor, datas, gv.Temperature.from_tau(1.0))
+        rep = loss_report(anchor, datas, Temperature.from_tau(1.0))
         assert rep.degenerate_tuples == len(dup) * b
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

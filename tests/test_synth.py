@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from gramvol import SyntheticSpec, generate_dataset, split_dataset
+from gramvol import SyntheticSpec, generate_dataset
 from gramvol.errors import InvalidSpecError
+from gramvol.synth import split_dataset
 
 from conftest import assert_same_at_1_and_2_threads
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +443,36 @@ class TestMatmul:
         res = subprocess.run([sys.executable, "-c", PIN_SCRIPT], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1", "2", "2", "2"]
+
+
+class TestOpenblasThreads:
+    """``_openblas_threads`` on a stand-in numpy install tree: ``numpy/``
+    next to a ``numpy.libs/`` holding the given libraries."""
+
+    @staticmethod
+    def stand_in(tmp_path, monkeypatch):
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy.libs").mkdir()
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        return tmp_path / "numpy.libs"
+
+    def test_unloadable_library_is_skipped(self, tmp_path, monkeypatch):
+        if volume._OPENBLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        root = Path(np.__file__).parent
+        real = [*(root.parent / "numpy.libs").glob("*openblas*"),
+                *(root / ".dylibs").glob("*openblas*")]
+        libs = self.stand_in(tmp_path, monkeypatch)
+        # Sorts before the real libraries, which are linked in as they are.
+        (libs / "libopenblas-0broken.so").write_text("not a shared library\n")
+        for path in real:
+            (libs / path.name).symlink_to(path)
+        get, _ = volume._openblas_threads()
+        assert get() == volume._OPENBLAS_THREADS[0]()
+
+    def test_no_library_gives_none(self, tmp_path, monkeypatch):
+        self.stand_in(tmp_path, monkeypatch)
+        assert volume._openblas_threads() is None
 
 
 #: Prints OpenBLAS's thread count inside a pinned call, then after a
