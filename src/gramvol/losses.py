@@ -4,8 +4,10 @@ The contrastive part scores each sample against every in-batch candidate
 with negated volumes divided by a learnable temperature, then applies the
 usual two-direction softmax cross entropy (data-to-anchor over rows of the
 cross-volume matrix, anchor-to-data over its columns).  One core,
-``contrastive(z)``, serves the volume logits ``-V / tau``, the cosine
-baseline's ``D A^T / tau`` and forward-only evaluation.  The matching part
+``contrastive(z)``, serves the volume logits ``-V / tau`` and the cosine
+baseline's ``D A^T / tau``.  Each objective has one report function,
+``loss_report`` and ``cosine_pairwise_report``, which training calls with
+gradients and evaluation with ``grad=False``.  The matching part
 is a binary cross entropy over a small feed-forward head that sees the
 concatenated modality embeddings of a matched tuple and of one mined hard
 negative per sample (the off-diagonal candidate with the smallest volume).
@@ -63,24 +65,27 @@ class Temperature:
 
 @dataclass
 class LossReport:
-    """Loss values plus gradients for one batch.
+    """Loss values for one batch, with their gradients unless the report
+    was made with ``grad=False``, where every gradient field is None.
 
     ``grad_anchor`` is (B, n); ``grad_datas`` is (k-1, B, n) in modality
     order.  ``head_grads`` carries the matching head's parameter gradients
     (already scaled by ``lam``) when a head participated, else None.
     ``degenerate_tuples`` counts cross-volume entries that received a zero
-    subgradient.
+    subgradient, and ``volumes`` is the B x B cross-volume matrix that the
+    volume objective scored (None under the cosine objective).
     """
 
     l_d2a: float
     l_a2d: float
-    l_dam: float
-    l_tot: float
-    grad_anchor: np.ndarray
-    grad_datas: np.ndarray
-    grad_log_tau: float
+    l_dam: float = 0.0
+    l_tot: float = 0.0
+    grad_anchor: np.ndarray | None = None
+    grad_datas: np.ndarray | None = None
+    grad_log_tau: float | None = None
     head_grads: dict[str, np.ndarray] | None = None
     degenerate_tuples: int = 0
+    volumes: np.ndarray | None = None
 
 
 def _direction(z: np.ndarray, axis: int, grad: bool):
@@ -240,8 +245,10 @@ def loss_report(
     tau: Temperature,
     head: DamHead | None = None,
     lam: float = LAMBDA_DAM,
+    grad: bool = True,
 ) -> LossReport:
-    """Full objective with gradients, at the array level.
+    """Full objective, with its gradients unless ``grad`` is False, at the
+    array level.
 
     ``anchor`` and each entry of ``datas`` are (B, n) embedding rows.
     Gradients cover every embedding row, the log-temperature, and (when a
@@ -249,29 +256,63 @@ def loss_report(
     treated as constants of the current batch.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
-    b = anchor.shape[0]
     volumes = VolumeBatch(anchor, datas)
     vols = volumes.values
     z = _volume_logits(vols, tau)
-    l_d2a, l_a2d, dz = contrastive(z)
-    grad_log_tau = -float(np.sum(dz * z))
-    # Chain rule through every (i, j) entry: anchor j appears across rows i,
-    # data row i appears across columns j.  The kernel sums both directly.
-    grad_anchor, grad_datas = volumes.backward(dz * (-1.0 / tau.tau))
+    l_d2a, l_a2d, dz = contrastive(z, grad)
+    rep = LossReport(l_d2a, l_a2d, degenerate_tuples=int(volumes.degenerate.sum()),
+                     volumes=vols)
+    if grad:
+        rep.grad_log_tau = -float(np.sum(dz * z))
+        # Chain rule through every (i, j) entry: anchor j appears across rows i,
+        # data row i appears across columns j.  The kernel sums both directly.
+        rep.grad_anchor, rep.grad_datas = volumes.backward(dz * (-1.0 / tau.tau))
+    # The head needs none of the kernel's arrays: freed first, they leave
+    # the head's forward fewer fresh pages to fault in.
+    del volumes, z, dz
+    if head is not None and anchor.shape[0] >= 2:
+        neg_j = hard_negative_mine(vols)
+        if grad:
+            rep.l_dam, g_anchor, g_datas, rep.head_grads = head.bce_value_and_grads(
+                anchor, datas, neg_j, lam)
+            rep.grad_anchor += g_anchor
+            rep.grad_datas += g_datas
+        else:
+            rep.l_dam = head.bce_forward(anchor, datas, neg_j)[0]
+    rep.l_tot = total_loss((l_d2a, l_a2d), rep.l_dam, lam)
+    return rep
 
-    l_dam = 0.0
-    head_grads = None
-    if head is not None and b >= 2:
-        l_dam, g_anchor, g_datas, head_grads = head.bce_value_and_grads(
-            anchor, datas, hard_negative_mine(vols), lam
-        )
-        grad_anchor += g_anchor
-        grad_datas += g_datas
 
-    l_tot = total_loss((l_d2a, l_a2d), l_dam, lam)
-    return LossReport(
-        l_d2a=l_d2a, l_a2d=l_a2d, l_dam=l_dam, l_tot=l_tot,
-        grad_anchor=grad_anchor, grad_datas=grad_datas,
-        grad_log_tau=grad_log_tau, head_grads=head_grads,
-        degenerate_tuples=int(volumes.degenerate.sum()),
-    )
+def cosine_pairwise_report(
+    anchor: np.ndarray,
+    datas: Sequence[np.ndarray],
+    tau: Temperature,
+    head: None = None,
+    lam: float = LAMBDA_DAM,
+    grad: bool = True,
+) -> LossReport:
+    """Baseline objective: softmax cross entropy on cosine logits, each
+    data modality against the anchor separately, averaged over modalities.
+
+    Takes ``loss_report``'s arguments, so that one call serves either
+    objective; the baseline has no matching term, so it uses no ``head``
+    and ``lam`` weighs a matching loss of 0.
+    """
+    anchor = np.asarray(anchor, dtype=np.float64)
+    nmod, t = len(datas), tau.tau
+    rep = LossReport(0.0, 0.0)
+    if grad:
+        rep.grad_anchor, rep.grad_log_tau = np.zeros_like(anchor), 0.0
+        rep.grad_datas = np.empty((nmod,) + anchor.shape)
+    for off, d in enumerate(datas):
+        z = _matmul(d, anchor.T) / t
+        l_m2a, l_a2m, dz = contrastive(z, grad)
+        rep.l_d2a += l_m2a / nmod
+        rep.l_a2d += l_a2m / nmod
+        if grad:
+            rep.grad_log_tau -= float(np.sum(dz * z)) / nmod
+            dz /= nmod * t
+            rep.grad_datas[off] = _matmul(dz, anchor)
+            rep.grad_anchor += _matmul(dz.T, d)
+    rep.l_tot = total_loss((rep.l_d2a, rep.l_a2d), 0.0, lam)
+    return rep

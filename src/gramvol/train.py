@@ -33,21 +33,20 @@ from .losses import (
     TAU_MAX,
     TAU_MIN,
     DamHead,
-    LossReport,
     Temperature,
-    contrastive,
-    gram_contrastive_loss,
-    hard_negative_mine,
+    cosine_pairwise_report,
     loss_report,
-    total_loss,
 )
 from .metrics import retrieval_recall
 from .optim import AdamState, adam_step
 from .similarity import cross_volumes
 from .synth import MultimodalDataset, split_dataset
-from .volume import _matmul
 
-LOSS_KINDS = ("gram", "cosine")
+#: Each objective's report function, by loss kind, as the name of a global
+#: of this module.  The step loop and ``evaluate`` look the name up when
+#: they call it, so a wrapper set on this module sees every call.
+_REPORTS = {"gram": "loss_report", "cosine": "cosine_pairwise_report"}
+LOSS_KINDS = tuple(_REPORTS)
 
 
 @dataclass(frozen=True)
@@ -119,38 +118,6 @@ class TrainResult:
     params: dict[str, np.ndarray]
 
 
-def cosine_pairwise_report(
-    anchor: np.ndarray, datas: Sequence[np.ndarray], tau: Temperature
-) -> LossReport:
-    """Baseline objective: softmax cross entropy on cosine logits, each
-    data modality against the anchor separately, averaged over modalities.
-
-    Mirrors the report layout of ``loss_report`` so the training loop can
-    treat both objectives uniformly.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    nmod = len(datas)
-    t = tau.tau
-    l_d2a = l_a2d = grad_log_tau = 0.0
-    grad_anchor = np.zeros_like(anchor)
-    grad_datas = np.empty((nmod,) + anchor.shape)
-    for off, d in enumerate(datas):
-        z = _matmul(d, anchor.T) / t
-        l_m2a, l_a2m, dz = contrastive(z)
-        l_d2a += l_m2a / nmod
-        l_a2d += l_a2m / nmod
-        grad_log_tau -= float(np.sum(dz * z)) / nmod
-        dz /= nmod * t
-        grad_datas[off] = _matmul(dz, anchor)
-        grad_anchor += _matmul(dz.T, d)
-    l_tot = total_loss((l_d2a, l_a2d), 0.0)
-    return LossReport(
-        l_d2a=l_d2a, l_a2d=l_a2d, l_dam=0.0, l_tot=l_tot,
-        grad_anchor=grad_anchor, grad_datas=grad_datas,
-        grad_log_tau=grad_log_tau, head_grads=None,
-    )
-
-
 def evaluate(
     encoders: Sequence[ToyEncoder],
     dataset: MultimodalDataset,
@@ -159,12 +126,15 @@ def evaluate(
     max_samples: int,
     loss_kind: str,
     epoch: int,
+    lam: float = LAMBDA_DAM,
 ) -> TraceRow:
     """The trace row of ``epoch``: losses, volumes and R@1 on the leading
     ``max_samples`` rows of ``dataset``.
 
-    ``head`` (None under the cosine objective) adds the matching loss.
-    Raises ``BatchTooSmallError`` when the slice holds fewer than 2 samples,
+    The losses come from one forward-only report of the ``loss_kind``
+    objective; ``head`` (None under the cosine objective) adds the
+    matching loss, which ``lam`` weighs in the report's total.  Raises
+    ``BatchTooSmallError`` when the slice holds fewer than 2 samples,
     which have no mismatched tuple and no negative.
     """
     nsel = min(max_samples, dataset.num_samples)
@@ -173,23 +143,15 @@ def evaluate(
     embeds = [
         enc.encode(view[:nsel]) for enc, view in zip(encoders, dataset.views)
     ]
-    vols = cross_volumes(embeds[0], embeds[1:])
+    report = globals()[_REPORTS[loss_kind]](embeds[0], embeds[1:], tau, head, lam, grad=False)
+    # The volume objective has scored the cross volumes already.
+    vols = report.volumes
+    if vols is None:
+        vols = cross_volumes(embeds[0], embeds[1:])
     matched = float(np.mean(np.diag(vols)))
     mismatched = float(np.mean(vols[~np.eye(nsel, dtype=bool)]))
     r1 = retrieval_recall(vols, ks=(1,))[1]
-
-    l_dam = 0.0
-    if loss_kind == "cosine":
-        # The losses of cosine_pairwise_report, without its gradients.
-        parts = [contrastive(_matmul(d, embeds[0].T) / tau.tau, grad=False)
-                 for d in embeds[1:]]
-        l_d2a = sum(p[0] / len(parts) for p in parts)
-        l_a2d = sum(p[1] / len(parts) for p in parts)
-    else:
-        l_d2a, l_a2d = gram_contrastive_loss(vols, tau)
-        if head is not None:
-            l_dam = head.bce_forward(embeds[0], embeds[1:], hard_negative_mine(vols))[0]
-    return TraceRow(epoch, l_d2a, l_a2d, l_dam, matched, mismatched, r1)
+    return TraceRow(epoch, report.l_d2a, report.l_a2d, report.l_dam, matched, mismatched, r1)
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -238,7 +200,7 @@ def train(
 
     def record(epoch: int) -> None:
         trace.rows.append(evaluate(encoders, held_ds, current_tau(), head,
-                                   config.eval_max_samples, config.loss, epoch))
+                                   config.eval_max_samples, config.loss, epoch, config.lam))
 
     trace = TrainingTrace()
     epoch = 0
@@ -252,11 +214,8 @@ def train(
                 embeds, caches = zip(*(
                     enc.encode_cached(view[bidx]) for enc, view in zip(encoders, train_ds.views)
                 ))
-                tau = current_tau()
-                if config.loss == "gram":
-                    report = loss_report(embeds[0], embeds[1:], tau, head, config.lam)
-                else:
-                    report = cosine_pairwise_report(embeds[0], embeds[1:], tau)
+                report = globals()[_REPORTS[config.loss]](
+                    embeds[0], embeds[1:], current_tau(), head, config.lam)
                 if not math.isfinite(report.l_tot):
                     raise NonFiniteLossError("the total loss is not finite")
 
