@@ -45,7 +45,9 @@ error to one:
        value (batch_size or eval_max_samples below 2, tau_init outside
        [1e-3, 10], a seed below 0, a non-finite float, a noise_sigma that
        overflows the generated data, a training or held-out split of
-       fewer than 2 samples)
+       fewer than 2 samples, sizes whose run would allocate more than
+       ``synth.MAX_RUN_VALUES`` = 2**28 float64 values up front: the
+       views, the parameters and their two Adam moments)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import HIDDEN_WIDTH
 from .errors import InvalidSpecError
 from .volume import _matmul
+
+#: Most float64 values a training run on one spec may allocate up front:
+#: the dataset's views and class means, and the parameters of the encoders
+#: and the matching head with their two Adam moments.  2**28 values are
+#: 2 GiB, far above every shipped config.
+MAX_RUN_VALUES = 2**28
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,13 @@ class SyntheticSpec:
             raise InvalidSpecError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+        k, d, n = self.modalities, self.latent_dim, self.embed_dim
+        # Encoders d -> HIDDEN_WIDTH -> n, head k n -> 4 n -> 4 n -> 1, log tau.
+        params = k * (HIDDEN_WIDTH * (d + 1 + n) + n) + 4 * n * (k * n + 4 * n + 3) + 2
+        values = (k * self.samples + self.num_classes) * d + 3 * params
+        if values > MAX_RUN_VALUES:
+            raise InvalidSpecError(f"a training run on this spec needs {values} float64 "
+                                   f"values, more than {MAX_RUN_VALUES}")
         if isinstance(self.noise_sigma, (int, float)):
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         else:

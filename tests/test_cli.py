@@ -322,6 +322,27 @@ class TestTrainCommand:
         assert result.exit_code == 5
         assert result.stderr == f"error: unknown config key '{key}'\n"
 
+    @pytest.mark.parametrize("key", ["modalities", "samples", "embed_dim", "num_classes"])
+    def test_oversized_config_exit_5(self, tmp_path, key):
+        # Sizes past numpy's largest dimension: no array is allocated
+        # before the size check, or in place of it.
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "\n".join(ln for ln in self.CONFIG.splitlines() if not ln.startswith(key))
+            + f"\n{key} = 99999999999999999999\n"
+        )
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 5, result.exception
+        assert result.stderr.startswith("error: a training run on this spec needs ")
+        assert result.stderr.endswith(" values, more than 268435456\n")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_tiny_training_split_exit_5(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(self.CONFIG.replace("samples = 96", "samples = 2"))

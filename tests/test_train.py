@@ -1,14 +1,20 @@
 """Optimizer, encoders, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import gramvol as gv
-from gramvol import SyntheticSpec, TrainConfig
+from gramvol import SyntheticSpec, TrainConfig, synth
 from gramvol.encoders import ToyEncoder
-from gramvol.errors import BatchTooSmallError, DivergedTrainingError, InvalidConfigError
+from gramvol.errors import (
+    BatchTooSmallError,
+    DivergedTrainingError,
+    InvalidConfigError,
+    InvalidSpecError,
+)
 from gramvol.losses import DamHead, Temperature, loss_report
 from gramvol.optim import EPS, AdamState, adam_step
 from gramvol.train import TraceRow, cosine_pairwise_report, evaluate
@@ -249,3 +255,19 @@ class TestEvaluate:
         with pytest.raises(BatchTooSmallError, match="at least 2 samples, got 1"):
             evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,
                         loss_kind, 0)
+
+
+class TestRunSizeBound:
+    def test_counts_what_a_volume_run_allocates(self, monkeypatch):
+        # The views, the class means, and the parameters with their two
+        # Adam moments: a spec at the bound passes, one value past it fails.
+        spec = tiny_spec()
+        ds = gv.generate_dataset(spec)
+        res = gv.train(tiny_config(epochs=0), ds, embed_dim=spec.embed_dim)
+        values = (sum(v.size for v in ds.views) + spec.num_classes * spec.latent_dim
+                  + 3 * sum(p.size for p in res.params.values()))
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", values)
+        dataclasses.replace(spec)
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", values - 1)
+        with pytest.raises(InvalidSpecError, match=f"needs {values} float64 values"):
+            dataclasses.replace(spec)
