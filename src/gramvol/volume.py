@@ -31,9 +31,11 @@ data rows' Gram matrices, the anchors' norms and the paired form's D a.
 one product of the (k-1) B data rows with the B anchors, and the backward
 pass.  Both set numpy's bundled OpenBLAS to one thread for their calls and
 restore the caller's count after, so their bits do not depend on the
-thread count, on any OpenBLAS kernel.  The count is process-wide, so this
-holds while one Python thread at a time calls into gramvol.  Under another
-BLAS (MKL, Accelerate) the calls run as they are, unpinned.
+thread count, on any OpenBLAS kernel.  The count is process-wide: when
+Python threads call into gramvol at once, the first call to start pins it
+and the last to finish restores it, so another thread's direct numpy
+calls see one BLAS thread while a gramvol call runs.  Under another BLAS
+(MKL, Accelerate) the calls run as they are, unpinned.
 
 A cross entry matches the per-tuple call (a 1 x 1 cross form) and the
 paired form up to rounding, not bit for bit: a product of another shape,
@@ -46,6 +48,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,19 +179,33 @@ def _openblas_threads():
 
 _OPENBLAS_THREADS = _openblas_threads()
 
+#: Calls inside ``_one_thread`` in any Python thread, and the count the last
+#: of them restores; both guarded by ``_PIN_LOCK``.
+_pin_depth = 0
+_pin_restore = 0
+_PIN_LOCK = threading.Lock()
+
 
 def _one_thread(f, *args):
     """``f(*args)`` with OpenBLAS on one thread, the caller's count restored
-    after; a plain call where the OpenBLAS calls were not found."""
+    when the last overlapping call ends; a plain call where the OpenBLAS
+    calls were not found."""
+    global _pin_depth, _pin_restore
     if _OPENBLAS_THREADS is None:
         return f(*args)
     get, set_ = _OPENBLAS_THREADS
-    threads = get()
-    set_(1)
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
     try:
         return f(*args)
     finally:
-        set_(threads)
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -443,6 +444,52 @@ class TestMatmul:
         res = subprocess.run([sys.executable, "-c", PIN_SCRIPT], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1", "2", "2", "2"]
+
+    def test_concurrent_callers_restore_the_thread_count(self, rng):
+        # The count is process-wide.  First a fixed interleaving: thread b
+        # enters its pinned call inside a's, and leaves it after a's has
+        # ended.  Then more threads than cores, switching often; each
+        # invariant breaks when a call restores a count another call set.
+        if volume._OPENBLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        get, set_ = volume._OPENBLAS_THREADS
+        x, y = rng.standard_normal((256, 256)), rng.standard_normal((256, 120))
+        want = _matmul(x, y)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+        def a(out):
+            out.append(_one_thread(lambda: (a_in.set(), b_in.wait(10), x @ y)[-1]))
+            a_out.set()
+
+        def b(out):
+            a_in.wait(10)
+            out.append(_one_thread(lambda: (b_in.set(), a_out.wait(10), x @ y)[-1]))
+
+        def stress(out):
+            out.extend(_matmul(x, y) for _ in range(150))
+
+        saved, interval = get(), sys.getswitchinterval()
+        set_(2)
+        counts, products = [], []
+        try:
+            for targets in ((a, b), (stress,) * 4):
+                outs = [[] for _ in targets]
+                threads = [threading.Thread(target=f, args=(out,)) for f, out in zip(targets, outs)]
+                sys.setswitchinterval(1e-5)
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                sys.setswitchinterval(interval)
+                assert not any(t.is_alive() for t in threads)
+                counts.append(get())
+                products += [p for out in outs for p in out]
+        finally:
+            sys.setswitchinterval(interval)
+            set_(saved)
+        assert counts == [2, 2]
+        assert len(products) == 2 + 4 * 150
+        assert all(np.array_equal(p, want) for p in products)
 
 
 class TestOpenblasThreads:
