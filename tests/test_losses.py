@@ -303,6 +303,26 @@ class TestContrastiveCore:
         neg_j = np.argmin(np.where(np.eye(b, dtype=bool), np.inf, vols), axis=1)
         assert head.bce_forward(anchor, datas, neg_j)[0] == rep.l_dam
 
+    @pytest.mark.parametrize("objective, with_head", [
+        (loss_report, True), (loss_report, False), (cosine_pairwise_report, False),
+    ], ids=["gram-head", "gram", "cosine"])
+    def test_forward_only_report_keeps_the_loss_bits(self, rng, objective, with_head):
+        b, n = 9, 8
+        tau = Temperature.from_tau(0.3)
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(2)]
+        head = DamHead(3, n, rng) if with_head else None
+        full = objective(anchor, datas, tau, head, 0.3)
+        forward = objective(anchor, datas, tau, head, 0.3, grad=False)
+        terms = ("l_d2a", "l_a2d", "l_dam", "l_tot", "degenerate_tuples")
+        assert [getattr(forward, t) for t in terms] == [getattr(full, t) for t in terms]
+        assert (forward.volumes is None) == (full.volumes is None) == (objective is not loss_report)
+        if full.volumes is not None:
+            assert np.array_equal(forward.volumes, full.volumes)
+        grads = ("grad_anchor", "grad_datas", "grad_log_tau", "head_grads")
+        assert [getattr(forward, g) for g in grads] == [None] * 4
+        assert (full.head_grads is None) != with_head
+
     def test_head_rows_match_assembled_input(self, rng):
         b, n, lam = 7, 5, 0.3
         anchor = unit_rows(rng, b, n)

@@ -1,13 +1,14 @@
 """Optimizer, encoders, and the training loop."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import gramvol as gv
-from gramvol import SyntheticSpec, TrainConfig, synth
+from gramvol import SyntheticSpec, TrainConfig, synth, volume
 from gramvol.encoders import ToyEncoder
 from gramvol.errors import (
     BatchTooSmallError,
@@ -20,6 +21,9 @@ from gramvol.optim import EPS, AdamState, adam_step
 from gramvol.train import TraceRow, cosine_pairwise_report, evaluate
 
 from conftest import central_diff, rel_err, unit_rows
+
+# The module: ``gramvol.train`` in the package namespace is the function.
+train_mod = importlib.import_module("gramvol.train")
 
 
 class TestAdamStep:
@@ -246,6 +250,22 @@ class TestEvaluate:
         assert (row.l_d2a, row.l_a2d, row.l_dam) == (rep.l_d2a, rep.l_a2d, rep.l_dam)
 
     @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
+    def test_builds_one_cross_volume_matrix(self, rng, monkeypatch, loss_kind):
+        ds = gv.generate_dataset(tiny_spec(samples=40))
+        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        head = DamHead(3, 16, rng) if loss_kind == "gram" else None
+        shapes = []
+        init = volume.VolumeBatch.__init__
+
+        def counting_init(self, anchor, datas, *args, **kwargs):
+            shapes.append(np.shape(anchor))
+            init(self, anchor, datas, *args, **kwargs)
+
+        monkeypatch.setattr(volume.VolumeBatch, "__init__", counting_init)
+        evaluate(encoders, ds, Temperature.from_tau(0.2), head, 32, loss_kind, 0)
+        assert shapes == [(32, 16)]
+
+    @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
     @pytest.mark.parametrize("samples, max_samples", [(40, 1), (1, 32)])
     def test_one_sample_raises(self, rng, loss_kind, samples, max_samples):
         # One sample has no mismatched tuple: no row rather than a NaN one.
@@ -271,3 +291,23 @@ class TestRunSizeBound:
         monkeypatch.setattr(synth, "MAX_RUN_VALUES", values - 1)
         with pytest.raises(InvalidSpecError, match=f"needs {values} float64 values"):
             dataclasses.replace(spec)
+
+
+class TestObjectiveLookup:
+    @pytest.mark.parametrize("loss, name", [
+        ("gram", "loss_report"), ("cosine", "cosine_pairwise_report"),
+    ])
+    def test_step_loop_and_evaluate_call_the_module_global(self, monkeypatch, loss, name):
+        # A tracer replaces these globals: a loop that kept the functions
+        # it saw at import would time nothing, and read 0, not a gap.
+        calls = {name: [] for name in ("loss_report", "cosine_pairwise_report")}
+        for global_name, calls_of in calls.items():
+            def counting(*args, _fn=getattr(train_mod, global_name), _calls=calls_of, **kwargs):
+                _calls.append(kwargs.get("grad", True))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(train_mod, global_name, counting)
+        gv.train(tiny_config(epochs=1, loss=loss), gv.generate_dataset(tiny_spec()), embed_dim=16)
+        # 64 training samples in batches of 16, and epochs 0 and 1 evaluated.
+        assert calls.pop(name) == [False] + [True] * 4 + [False]
+        assert calls.popitem()[1] == []
