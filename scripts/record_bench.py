@@ -7,16 +7,18 @@ Run from the repository root:
 
 Runs the unchanged ``perfbench/run.py`` on every workload that
 ``BENCHMARK.json`` declares, at fixed seeds: one ``--trace 0`` run per
-seed for the end-to-end metrics, then one ``--trace 1`` run at the first
-seed for the per-layer metrics.  The file holds the environment, the git
-revision, each end-to-end metric's median over the seeds with the
-per-seed values, and each per-layer value.  Each run takes the
-benchmark's ``run_seconds`` plus set-up, about 3 x 4 x 40 s in all.
+seed for the end-to-end metrics, then one ``--trace 1`` run per seed for
+the per-layer metrics.  The file holds the environment (with numpy's
+bundled OpenBLAS kernel and configuration, read in this process), the
+git revision, and each metric's median over the seeds with the per-seed
+values.  Each run takes the benchmark's ``run_seconds`` plus set-up,
+about 3 x 6 x 40 s in all.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import json
 import platform
@@ -36,6 +38,45 @@ def git(*args: str) -> str | None:
     except OSError:
         return None
     return res.stdout.strip() if res.returncode == 0 else None
+
+
+def openblas_info() -> dict:
+    """The kernel and configuration string of numpy's bundled OpenBLAS, each
+    None where numpy ships no OpenBLAS that reports it."""
+    import numpy as np
+
+    info = {"blas_core": None, "blas_config": None}
+    root = Path(np.__file__).parent
+    for path in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                        *(root / ".dylibs").glob("*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for key, what in (("blas_core", "corename"), ("blas_config", "config")):
+            for name in (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}64_",
+                         f"openblas_get_{what}"):
+                if info[key] is None and hasattr(lib, name):
+                    fn = getattr(lib, name)
+                    fn.argtypes, fn.restype = [], ctypes.c_char_p
+                    info[key] = fn().decode().strip()
+    return info
+
+
+def summarize(declared: list[dict], runs: list[dict]) -> dict:
+    """Each declared metric's unit, direction, median over ``runs`` (the
+    runs that report it) and per-run values."""
+    out = {}
+    for metric in declared:
+        values = [r["metrics"][metric["name"]]["value"] for r in runs]
+        present = [v for v in values if v is not None]
+        out[metric["name"]] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "median": statistics.median(present) if present else None,
+            "runs": values,
+        }
+    return out
 
 
 def run_bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -61,7 +102,8 @@ def record(label: str) -> dict:
             timespec="seconds"),
         "seeds": list(SEEDS),
         "seconds": BENCH["run_seconds"],
-        "environment": {"platform": platform.platform(), "machine": platform.machine()},
+        "environment": {"platform": platform.platform(), "machine": platform.machine(),
+                        **openblas_info()},
         "workloads": {},
     }
     for workload in (w["name"] for w in BENCH["workloads"]):
@@ -71,24 +113,13 @@ def record(label: str) -> dict:
             out["environment"].update(
                 {k: v for k, v in env.items() if not k.startswith(("loadavg", "git"))})
             runs.append(result)
-        traced, _ = run_bench(workload, SEEDS[0], trace=1)
-        end_to_end = {}
-        for metric in BENCH["end_to_end"]:
-            values = [r["metrics"][metric["name"]]["value"] for r in runs]
-            present = [v for v in values if v is not None]
-            end_to_end[metric["name"]] = {
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "median": statistics.median(present) if present else None,
-                "runs": values,
-            }
+        traced = [run_bench(workload, seed, trace=1)[0] for seed in SEEDS]
         out["workloads"][workload] = {
-            "correct": all(r["correct"] for r in runs) and traced["correct"],
-            "failed_steps": sum(r["failed"] for r in runs) + traced["failed"],
-            "attempted_steps": sum(r["attempted"] for r in runs) + traced["attempted"],
-            "end_to_end": end_to_end,
-            "per_layer_seed": SEEDS[0],
-            "per_layer": traced["metrics"],
+            "correct": all(r["correct"] for r in runs + traced),
+            "failed_steps": sum(r["failed"] for r in runs + traced),
+            "attempted_steps": sum(r["attempted"] for r in runs + traced),
+            "end_to_end": summarize(BENCH["end_to_end"], runs),
+            "per_layer": summarize(BENCH["per_layer"], traced),
         }
     return out
 
