@@ -115,26 +115,26 @@ def _mutate_file(r: random.Random, text: str) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def base_files():
-    """Each modality's valid file text: unit rows of dimension 3."""
+def base_records():
+    """Each modality's valid records: unit rows of dimension 3."""
     rng = np.random.default_rng(5)
-    texts = {}
+    records = {}
     for name in MODALITIES:
         rows = rng.standard_normal((len(IDS), 3))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        texts[name] = [(i, name, row) for i, row in zip(IDS, rows)]
-    return texts
+        records[name] = [(i, name, row) for i, row in zip(IDS, rows)]
+    return records
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_mutated_embedding_files(tmp_path, base_files, seed):
+def test_mutated_embedding_files(tmp_path, base_records, seed):
     paths = []
-    for name, records in base_files.items():
+    for name, records in base_records.items():
         write_embeddings(tmp_path / f"{name}.jsonl", 3, records)
         paths.append(tmp_path / f"{name}.jsonl")
     valid = {p: p.read_text(encoding="utf-8") for p in paths}
     r = random.Random(seed)
-    for case in range(150):
+    for case in range(500):
         target = r.choice(paths)
         mutated = _mutate_file(r, valid[target])
         target.write_bytes(mutated)
@@ -182,7 +182,7 @@ def _mutate_config(r: random.Random) -> bytes:
 def test_mutated_train_configs(tmp_path, seed):
     r = random.Random(100 + seed)
     cfg = tmp_path / "train.cfg"
-    for case in range(100):
+    for case in range(150):
         mutated = _mutate_config(r)
         cfg.write_bytes(mutated)
         _check(_invoke(["--out", tmp_path / f"run{case}", "train", cfg]), TRAIN_EXITS,
