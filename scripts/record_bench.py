@@ -7,12 +7,12 @@ Run from the repository root:
 
 Runs the unchanged ``perfbench/run.py`` on every workload that
 ``BENCHMARK.json`` declares, at fixed seeds: one ``--trace 0`` run per
-seed for the end-to-end metrics and one ``--trace 1`` run per seed for
-the per-layer metrics, seed by seed across the workloads.  The file
-holds the environment (with numpy's bundled OpenBLAS kernel and
-configuration, read in this process), the git revision, and each
-metric's median over the seeds with the per-seed values.  Each run takes
-the benchmark's ``run_seconds`` plus set-up, about 3 x 6 x 37 s in all.
+seed for the end-to-end metrics, then one ``--trace 1`` run per seed for
+the per-layer metrics.  The file holds the environment (with numpy's
+bundled OpenBLAS kernel and configuration, read in this process), the
+git revision, and each metric's median over the seeds with the per-seed
+values.  Each run takes the benchmark's ``run_seconds`` plus set-up,
+about 3 x 6 x 37 s in all.
 """
 
 from __future__ import annotations
@@ -106,26 +106,20 @@ def record(label: str) -> dict:
                         **openblas_info()},
         "workloads": {},
     }
-    workloads = [w["name"] for w in BENCH["workloads"]]
-    runs = {w: [] for w in workloads}
-    traced = {w: [] for w in workloads}
-    # Seed by seed across the workloads, so that each workload's three runs
-    # are minutes apart and a slow spell of the machine reaches one of them.
-    for seed in SEEDS:
-        for workload in workloads:
+    for workload in (w["name"] for w in BENCH["workloads"]):
+        runs = []
+        for seed in SEEDS:
             result, env = run_bench(workload, seed, trace=0)
             out["environment"].update(
                 {k: v for k, v in env.items() if not k.startswith(("loadavg", "git"))})
-            runs[workload].append(result)
-            traced[workload].append(run_bench(workload, seed, trace=1)[0])
-    for workload in workloads:
-        every = runs[workload] + traced[workload]
+            runs.append(result)
+        traced = [run_bench(workload, seed, trace=1)[0] for seed in SEEDS]
         out["workloads"][workload] = {
-            "correct": all(r["correct"] for r in every),
-            "failed_steps": sum(r["failed"] for r in every),
-            "attempted_steps": sum(r["attempted"] for r in every),
-            "end_to_end": summarize(BENCH["end_to_end"], runs[workload]),
-            "per_layer": summarize(BENCH["per_layer"], traced[workload]),
+            "correct": all(r["correct"] for r in runs + traced),
+            "failed_steps": sum(r["failed"] for r in runs + traced),
+            "attempted_steps": sum(r["attempted"] for r in runs + traced),
+            "end_to_end": summarize(BENCH["end_to_end"], runs),
+            "per_layer": summarize(BENCH["per_layer"], traced),
         }
     return out
 

@@ -300,7 +300,7 @@ class TestObjectiveLookup:
     def test_step_loop_and_evaluate_call_the_module_global(self, monkeypatch, loss, name):
         # A tracer replaces these globals: a loop that kept the functions
         # it saw at import would time nothing, and read 0, not a gap.
-        calls = {name: [] for name in ("loss_report", "cosine_pairwise_report")}
+        calls = {global_name: [] for global_name in ("loss_report", "cosine_pairwise_report")}
         for global_name, calls_of in calls.items():
             def counting(*args, _fn=getattr(train_mod, global_name), _calls=calls_of, **kwargs):
                 _calls.append(kwargs.get("grad", True))
