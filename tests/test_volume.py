@@ -457,13 +457,18 @@ class TestMatmul:
         want = _matmul(x, y)
         a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
 
+        def inside(entered, wait_for):
+            entered.set()
+            wait_for.wait(10)
+            return x @ y
+
         def a(out):
-            out.append(_one_thread(lambda: (a_in.set(), b_in.wait(10), x @ y)[-1]))
+            out.append(_one_thread(inside, a_in, b_in))
             a_out.set()
 
         def b(out):
             a_in.wait(10)
-            out.append(_one_thread(lambda: (b_in.set(), a_out.wait(10), x @ y)[-1]))
+            out.append(_one_thread(inside, b_in, a_out))
 
         def stress(out):
             out.extend(_matmul(x, y) for _ in range(150))
