@@ -2,9 +2,9 @@
 
 Commands exchange data through line-delimited JSON embedding files (one
 modality per file) and write matrices/traces as CSV.  Each file is loaded
-as one (N, n) float64 array and, unless --no-normalize, scaled row-wise
-to unit norm by one ``normalize`` call.  Diagnostics go to stderr; stdout
-carries data only.
+as one (N, n) float64 array and scaled row-wise to unit norm by one
+``normalize`` call; the library (``gramian_volume``, ``cross_volumes``)
+scores raw vectors.  Diagnostics go to stderr; stdout carries data only.
 
 Module scope imports click, the standard library and ``errors`` only, so
 ``--help``, a command's ``--help`` and a usage error never import numpy.
@@ -17,10 +17,7 @@ these globals reaches every call.
 
 ``eval`` and ``metric`` print one JSON line; their --out file holds that
 line, or a header line and a value line of CSV when the path ends in
-``.csv``.  With --no-normalize, ``volume`` takes any finite vectors as
-they are whose Gram determinant stays finite, while ``simmat``, ``eval``
-and ``metric`` still need unit rows and exit 2 ("row off unit norm") on
-a row more than 1e-10 off.  ``volume`` prints a tab-separated table
+``.csv``.  ``volume`` prints a tab-separated table
 whose id cells are quoted as CSV needs (an id holding a tab, a quote, LF
 or CR).  Exit codes are stable, and the command group maps each library
 error to one:
@@ -30,10 +27,10 @@ error to one:
        header or record, an id or modality that is not a JSON string, a
        vector element that is not a JSON number, a wrong vector length,
        a second modality, a duplicate id, NaN or Inf, bytes that are not
-       UTF-8); a file that cannot be read; files of different dimensions;
-       for simmat, eval and metric, two files with the same modality name;
-       under --no-normalize, a vector whose squared norm overflows or,
-       for volume, a tuple whose Gram determinant overflows
+       UTF-8, no header record in an empty or blank file); a file that
+       cannot be read; files of different dimensions; a vector of norm
+       below 1e-30 ("<path>: id '<id>': cannot normalize ..."); for
+       simmat, eval and metric, two files with the same modality name
     3  a requested id is missing from one of the modality files
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
@@ -46,8 +43,9 @@ error to one:
        [1e-3, 10], a seed below 0, a non-finite float, a noise_sigma that
        overflows the generated data, a training or held-out split of
        fewer than 2 samples, sizes whose run would allocate more than
-       ``synth.MAX_RUN_VALUES`` = 2**28 float64 values up front: the
-       views, the parameters and their two Adam moments)
+       ``synth.MAX_RUN_VALUES`` = 2**28 float64 values up front (the
+       views, the parameters and their two Adam moments) or in one
+       training or evaluation step's cross-volume grid)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)
@@ -190,21 +188,18 @@ def _cell(text: str, delimiter: str = ",") -> str:
 @dataclasses.dataclass
 class CliOptions:
     seed: int | None
-    normalize: bool
     out: Path | None
 
 
 @click.group(cls=_Cli)
 @click.option("--seed", type=int, default=None,
               help="Override the seed from the config (train only).")
-@click.option("--normalize/--no-normalize", "normalize_vectors", default=True,
-              help="Normalize vectors on load (default on).")
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Output path; a directory for train, a file elsewhere.")
 @click.pass_context
-def main(ctx, seed, normalize_vectors, out):
+def main(ctx, seed, out):
     """Volume-based multimodal similarity toolbox."""
-    ctx.obj = CliOptions(seed=seed, normalize=normalize_vectors, out=out)
+    ctx.obj = CliOptions(seed=seed, out=out)
 
 
 def _read_file(path: str):
@@ -216,24 +211,19 @@ def _read_file(path: str):
         raise EmbeddingParseError(f"{path}:{exc.line_no}: {exc}", exc.line_no)
 
 
-def _load_files(paths, do_normalize):
-    """The parsed files, each one modality's (N, n) rows; normalized unless
-    ``do_normalize`` is off."""
+def _load_files(paths):
+    """The parsed files, each one modality's (N, n) rows scaled to unit norm."""
     files = [_read_file(path) for path in paths]
     dims = {path: f.n for path, f in zip(paths, files)}
     if len(set(dims.values())) > 1:
         raise DimensionMismatchError(f"modality files have different dimensions: {dims}")
-    if do_normalize:
-        return [dataclasses.replace(f, rows=normalize(f.rows)) for f in files]
-    # Rows taken as they are: one whose squared norm overflows would
-    # overflow every volume it enters.
+    unit = []
     for path, f in zip(paths, files):
-        over = (_load("volume").squared_norms(f.rows) == float("inf")).nonzero()[0]
-        if over.size:
-            raise NonFiniteInputError(
-                f"{path}: the squared norm of id {f.ids[over[0]]!r} overflows; "
-                "run without --no-normalize")
-    return files
+        try:
+            unit.append(dataclasses.replace(f, rows=normalize(f.rows)))
+        except ZeroVectorError as exc:
+            raise ZeroVectorError(f"{path}: id {f.ids[exc.row]!r}: {exc}", exc.row) from None
+    return unit
 
 
 def _rows(files, ids):
@@ -254,8 +244,7 @@ def _anchor_batch(files, anchor_name, ids=None):
 
     The checks of ``simmat``, ``eval`` and ``metric``.  Rows follow ``ids``,
     by default the first data modality's file order; the same ids index the
-    columns, so matched tuples sit on the diagonal.  Rows must be unit
-    norm, so under --no-normalize a row off by over 1e-10 is a data error.
+    columns, so matched tuples sit on the diagonal.
     """
     names = [f.modality for f in files]
     repeated = sorted({name for name in names if names.count(name) > 1})
@@ -285,23 +274,14 @@ def _anchor_batch(files, anchor_name, ids=None):
 @click.pass_obj
 def cmd_volume(opts: CliOptions, paths, id_filter):
     """Print the tuple volume for each id across the modality files."""
-    files = _load_files(paths, opts.normalize)
+    files = _load_files(paths)
     ids = files[0].ids
     if id_filter is not None:
         ids = [i.strip() for i in id_filter.split(",") if i.strip()]
     vols = []
     if ids:
-        import numpy as np
-
         mats = _rows(files, ids)
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True)
-        # Unit rows keep every determinant within 1; raw rows may overflow it.
-        over = (~np.isfinite(batch.gram_det)).nonzero()[0]
-        if over.size:
-            raise NonFiniteInputError(f"the Gram determinant of id {ids[over[0]]!r} "
-                                      "overflows; run without --no-normalize")
-        vols = batch.values
+        vols = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True).values
     lines = ["id\tk\tvolume"]
     lines.extend("\t".join((_cell(rec_id, "\t"), str(len(files)), f"{vol:.12g}"))
                  for rec_id, vol in zip(ids, vols))
@@ -318,7 +298,7 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
 @click.pass_obj
 def cmd_simmat(opts: CliOptions, paths, anchor_name):
     """Write the B x B cross-volume matrix as CSV with id headers."""
-    files = _load_files(paths, opts.normalize)
+    files = _load_files(paths)
     ids, batch = _anchor_batch(files, anchor_name)
     values = cross_volume_matrix(batch).values
     # One %-template formats a row's values.
@@ -379,7 +359,7 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
             raise ValueError(f"cutoffs must be >= 1, got {bad}")
     except ValueError as exc:
         raise InvalidConfigError(f"bad --ks value: {exc}") from None
-    files = _load_files(paths, opts.normalize)
+    files = _load_files(paths)
     ids, batch = _anchor_batch(files, anchor_name)
     recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
     report = {"direction": "data_to_anchor", "queries": len(ids)}
@@ -392,7 +372,7 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
 @click.pass_obj
 def cmd_metric(opts: CliOptions, paths):
     """Mean matched-tuple volume over all ids (and 1 - mean)."""
-    files = _load_files(paths, opts.normalize)
+    files = _load_files(paths)
     ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
     score = alignment_metric(batch)
     _report(opts.out, {

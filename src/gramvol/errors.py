@@ -6,7 +6,12 @@ class GramVolError(Exception):
 
 
 class ZeroVectorError(GramVolError):
-    """A vector with (near-)zero norm where a direction is required."""
+    """A vector with (near-)zero norm where a direction is required; carries
+    the offending row's index when the vector is a row of a stack."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DimensionMismatchError(GramVolError):

@@ -21,8 +21,9 @@ from .volume import _matmul
 
 #: Most float64 values a training run on one spec may allocate up front:
 #: the dataset's views and class means, and the parameters of the encoders
-#: and the matching head with their two Adam moments.  2**28 values are
-#: 2 GiB, far above every shipped config.
+#: and the matching head with their two Adam moments.  ``train`` holds one
+#: step's cross-volume grid to it too.  2**28 values are 2 GiB, far above
+#: every shipped config.
 MAX_RUN_VALUES = 2**28
 
 

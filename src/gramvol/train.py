@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import synth
 from .encoders import ToyEncoder
 from .errors import (
     BatchTooSmallError,
@@ -167,19 +168,25 @@ def train(
 
     Raises ``InvalidConfigError`` when the training split holds fewer than
     2 samples (no contrastive gradient) or the held-out split does (no
-    mismatched tuple to evaluate), and ``DivergedTrainingError``
+    mismatched tuple to evaluate) or one step's (modalities - 1) B^2 cross
+    volumes exceed ``synth.MAX_RUN_VALUES``; and ``DivergedTrainingError``
     (carrying the partial trace) if any loss value stops being finite, a
     float operation overflows or turns invalid, or an encoder produces a
     zero embedding.
     """
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
-    for name, part in (("training", train_ds), ("held-out", held_ds)):
+    for name, part, size in (("training", train_ds, config.batch_size),
+                             ("held-out", held_ds, config.eval_max_samples)):
         if part.num_samples < 2:
             raise InvalidConfigError(
                 f"the {name} split holds {part.num_samples} of {dataset.num_samples} "
                 f"samples (holdout_fraction {config.holdout_fraction}); it needs at least 2"
             )
+        grid = (dataset.modalities - 1) * min(size, part.num_samples) ** 2
+        if grid > synth.MAX_RUN_VALUES:
+            raise InvalidConfigError(f"a {name} step's cross-volume grid needs {grid} "
+                                     f"float64 values, more than {synth.MAX_RUN_VALUES}")
 
     encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
     head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None

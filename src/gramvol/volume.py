@@ -127,7 +127,8 @@ def normalize(v) -> np.ndarray:
     whose squared norm overflows, or falls below the normal floats, is
     first divided by its largest |element|, so it still gets its unit row
     and its true norm.  Raises ``ZeroVectorError`` when a norm is below
-    ``ZERO_NORM_CUTOFF`` (a degenerate encoder output) and
+    ``ZERO_NORM_CUTOFF`` (a degenerate encoder output), naming the smallest
+    norm and, for rows, carrying that row's index as ``row``; and
     ``NonFiniteInputError`` on NaN/Inf.
     """
     arr = np.asarray(v, dtype=np.float64)
@@ -145,8 +146,10 @@ def normalize(v) -> np.ndarray:
     norms = np.sqrt(squares)
     low = norms < ZERO_NORM_CUTOFF / scale
     if low.any():
-        true_norm = float((norms[low] * scale[low]).min())
-        raise ZeroVectorError(f"cannot normalize vector with norm {true_norm!r}")
+        true_norms = np.where(low, norms * scale, np.inf).ravel()
+        row = int(true_norms.argmin())
+        raise ZeroVectorError(f"cannot normalize vector with norm {float(true_norms[row])!r}",
+                              row if arr.ndim == 2 else None)
     return arr / norms[..., None]
 
 

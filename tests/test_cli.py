@@ -71,8 +71,6 @@ class TestVolumeCommand:
         write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 4.0]]))
         res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         assert float(res.stdout.strip().split("\n")[1].split("\t")[2]) == pytest.approx(1.0)
-        res2 = run_cli("--no-normalize", "volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-        assert float(res2.stdout.strip().split("\n")[1].split("\t")[2]) == pytest.approx(12.0)
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -90,12 +88,20 @@ class TestVolumeCommand:
         assert res.returncode == 3
 
     def test_mixed_dimensions_exit_2(self, tmp_path):
-        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[1.0, 0.0]]))
-        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 1.0, 0.0]]))
-        res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-        assert res.returncode == 2
-        assert "dimension" in res.stderr
-        assert "Traceback" not in res.stderr
+        from click.testing import CliRunner
+
+        from gramvol.cli import main
+
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_modality(a, "a", ["p"], np.array([[1.0, 0.0]]))
+        write_modality(b, "b", ["p"], np.array([[0.0, 1.0, 0.0]]))
+        result = CliRunner().invoke(main, ["volume", str(a), str(b)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: modality files have different dimensions: ")
+        assert result.stderr.count("\n") == 1
+        assert f"{str(a)!r}: 2" in result.stderr and f"{str(b)!r}: 3" in result.stderr
+        assert result.stdout == ""
 
     def test_ids_quoted_as_tsv_needs(self, tmp_path):
         from click.testing import CliRunner
@@ -599,9 +605,10 @@ class TestReaderErrors:
         (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [NaN, 1.0]}\n', 2),
         (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, Infinity]}\n',
          2),
-    ], ids=["n-not-int", "header-array", "non-utf8", "nan", "inf"])
-    @pytest.mark.parametrize("no_normalize", [False, True])
-    def test_exit_2_with_path_and_line(self, tmp_path, body, line_no, no_normalize):
+        (b"", 1),
+        (b"\n \n\t\r\n", 1),
+    ], ids=["n-not-int", "header-array", "non-utf8", "nan", "inf", "empty", "blank"])
+    def test_exit_2_with_path_and_line(self, tmp_path, body, line_no):
         from click.testing import CliRunner
 
         from gramvol.cli import main
@@ -609,8 +616,7 @@ class TestReaderErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(body)
         write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[0.0, 1.0]]))
-        flags = ["--no-normalize"] if no_normalize else []
-        result = CliRunner().invoke(main, [*flags, "volume", str(bad), str(tmp_path / "b.jsonl")])
+        result = CliRunner().invoke(main, ["volume", str(bad), str(tmp_path / "b.jsonl")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {bad}:{line_no}: ")
@@ -711,25 +717,6 @@ class TestReportOut:
         assert len(stdout.splitlines()) == 1
 
 
-class TestNoNormalize:
-    """The batch commands need unit rows even with --no-normalize; ``volume``
-    does not (``TestVolumeCommand.test_unnormalized_input_normalized_by_default``)."""
-
-    @pytest.mark.parametrize("command", ["simmat", "eval", "metric"])
-    def test_batch_commands_need_unit_rows(self, tmp_path, command):
-        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(3)[:2])
-        write_modality(tmp_path / "b.jsonl", "b", ["p", "q"],
-                       np.array([[0.0, 0.0, 1.0], [0.0, 1.0 + 1e-9, 0.0]]))
-        out = tmp_path / "out.csv"
-        extra = ["--anchor", "a"] if command != "metric" else []
-        res = run_cli("--no-normalize", "--out", out, command,
-                      tmp_path / "a.jsonl", tmp_path / "b.jsonl", *extra)
-        assert res.returncode == 2
-        assert "row off unit norm" in res.stderr
-        assert res.stdout == ""
-        assert not out.exists()
-
-
 class TestNormRange:
     """Finite rows whose squared norm leaves the float range."""
 
@@ -751,30 +738,46 @@ class TestNormRange:
         assert json.loads(res.stdout)["mean_matched_volume"] == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize("command", ["volume", "simmat", "eval", "metric"])
-    def test_overflowing_square_under_no_normalize_exit_2(self, huge_files, command):
-        extra = ["--anchor", "a"] if command in ("simmat", "eval") else []
-        res = run_cli("--no-normalize", command, *huge_files, *extra)
-        assert res.returncode == 2
-        assert res.stderr == (f"error: {huge_files[1]}: the squared norm of id 'p' "
-                              "overflows; run without --no-normalize\n")
-        assert res.stdout == ""
+    def test_zero_row_names_file_and_id(self, tmp_path, command):
+        from click.testing import CliRunner
 
-    def test_overflowing_gram_determinant_under_no_normalize_exit_2(self, tmp_path):
-        # Each squared norm is finite; their product, the determinant, is not.
-        write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[0.0, 1e150]]))
-        write_modality(tmp_path / "b.jsonl", "b", ["p"], np.array([[1e100, 0.0]]))
-        res = run_cli("--no-normalize", "volume", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-        assert res.returncode == 2
-        assert res.stderr == ("error: the Gram determinant of id 'p' overflows; "
-                              "run without --no-normalize\n")
-        assert res.stdout == ""
+        from gramvol.cli import main
+
+        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
+        write_modality(tmp_path / "z.jsonl", "z", ["p", "q"], np.array([[1.0, 1.0], [0.0, 0.0]]))
+        out = tmp_path / "out.csv"
+        extra = ["--anchor", "a"] if command in ("simmat", "eval") else []
+        result = CliRunner().invoke(main, ["--out", str(out), command, str(tmp_path / "a.jsonl"),
+                                           str(tmp_path / "z.jsonl"), *extra])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {tmp_path / 'z.jsonl'}: id 'q': "
+                                 "cannot normalize vector with norm 0.0\n")
+        assert result.stdout == ""
+        assert not out.exists()
 
     def test_underflowing_square_reports_true_norm(self, tmp_path):
         write_modality(tmp_path / "a.jsonl", "a", ["p"], np.array([[1.0, 0.0]]))
         write_modality(tmp_path / "t.jsonl", "t", ["p"], np.array([[3e-200, 4e-200]]))
         res = run_cli("volume", tmp_path / "a.jsonl", tmp_path / "t.jsonl")
         assert res.returncode == 2
-        assert res.stderr == "error: cannot normalize vector with norm 5e-200\n"
+        assert res.stderr == (f"error: {tmp_path / 't.jsonl'}: id 'p': "
+                              "cannot normalize vector with norm 5e-200\n")
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+    def test_normalize_flags_are_usage_errors(self, tmp_path, flag):
+        # Every command scales its rows to unit norm; there is no switch.
+        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
+        write_modality(tmp_path / "b.jsonl", "b", ["p", "q"], np.eye(2))
+        out = tmp_path / "out.csv"
+        res = run_cli(flag, "--out", out, "simmat", tmp_path / "a.jsonl", tmp_path / "b.jsonl",
+                      "--anchor", "a")
+        assert res.returncode == 2
+        assert "No such option" in res.stderr and flag in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
 
 
 class TestUnwritableOut:

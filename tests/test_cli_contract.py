@@ -107,8 +107,8 @@ COMMANDS = {
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(contents=mutated_files(), normalize=st.booleans())
-def test_every_command_keeps_the_exit_contract(contents, normalize):
+@given(contents=mutated_files())
+def test_every_command_keeps_the_exit_contract(contents):
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -116,10 +116,9 @@ def test_every_command_keeps_the_exit_contract(contents, normalize):
             path = Path(tmp) / f"{name}.jsonl"
             path.write_bytes(data)
             paths.append(str(path))
-        flags = [] if normalize else ["--no-normalize"]
         for command, args in COMMANDS.items():
             out = str(Path(tmp) / f"{command}.out")
-            result = runner.invoke(main, [*flags, *args(paths, out)])
+            result = runner.invoke(main, args(paths, out))
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 command, result.exception)
             assert result.exit_code in (0, 2, 3, 4, 5), (command, result.stderr)

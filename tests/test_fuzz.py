@@ -138,7 +138,6 @@ def test_mutated_embedding_files(tmp_path, base_records, seed):
         target = r.choice(paths)
         mutated = _mutate_file(r, valid[target])
         target.write_bytes(mutated)
-        options = r.choice([[], ["--no-normalize"]])
         command = r.choice([
             ["volume", *paths],
             ["volume", "--ids", r.choice(["p0,p5", "p0,zz", ","]), *paths],
@@ -146,7 +145,7 @@ def test_mutated_embedding_files(tmp_path, base_records, seed):
             ["eval", "--anchor", r.choice(["a", "c"]), *paths],
             ["metric", *paths],
         ])
-        _check(_invoke(options + command), SCORING_EXITS,
+        _check(_invoke(command), SCORING_EXITS,
                f"case {seed}/{case}: {command[0]} on {target.name}:\n{mutated!r}")
         target.write_text(valid[target], encoding="utf-8")
 

@@ -292,6 +292,24 @@ class TestRunSizeBound:
         with pytest.raises(InvalidSpecError, match=f"needs {values} float64 values"):
             dataclasses.replace(spec)
 
+    @pytest.mark.parametrize("name, config, b", [
+        # 64 training samples, batches capped at the split.
+        ("training", tiny_config(epochs=0, batch_size=100), 64),
+        # 16 held-out samples, the evaluated slice capped at the split.
+        ("held-out", tiny_config(epochs=0, batch_size=2, eval_max_samples=100), 16),
+    ], ids=["training", "held-out"])
+    def test_counts_one_steps_cross_volume_grid(self, monkeypatch, name, config, b):
+        # A step's cross volumes are (modalities - 1) B^2 float64 values.
+        spec = tiny_spec()
+        ds = gv.generate_dataset(spec)
+        grid = (spec.modalities - 1) * b * b
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", grid)
+        gv.train(config, ds, embed_dim=spec.embed_dim)
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", grid - 1)
+        with pytest.raises(InvalidConfigError,
+                           match=f"^a {name} step's cross-volume grid needs {grid} float64"):
+            gv.train(config, ds, embed_dim=spec.embed_dim)
+
 
 class TestObjectiveLookup:
     @pytest.mark.parametrize("loss, name", [

@@ -42,8 +42,18 @@ class TestNormalize:
         np.testing.assert_array_equal(gv.normalize([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ZeroVectorError) as info:
             gv.normalize([0.0, 0.0])
+        assert info.value.row is None
+
+    def test_smallest_zero_row_travels_on_the_error(self):
+        # Rows 1 and 3 are below the cutoff too; the message and the index
+        # name the smallest norm.
+        rows = np.array([[1.0, 0.0], [0.0, 1e-40], [3e-41, 4e-41], [0.0, 2e-40]])
+        with pytest.raises(ZeroVectorError) as info:
+            gv.normalize(rows)
+        assert str(info.value) == "cannot normalize vector with norm 5e-41"
+        assert info.value.row == 2
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteInputError):
