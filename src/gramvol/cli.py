@@ -77,25 +77,12 @@ from .errors import (
     ZeroVectorError,
 )
 
-#: ``len(sys.modules)`` at the last heap freeze while ``run()`` runs a
-#: command, None otherwise.
-_frozen_modules: int | None = None
-
 
 def _load(module: str):
-    """``gramvol.<module>``, imported on first use.
-
-    Under ``run()``, a load that brought new modules in freezes the heap
-    again, so what a command loads is frozen like the start-up imports.
-    """
-    global _frozen_modules
+    """``gramvol.<module>``, imported on first use."""
     name = f"{__package__}.{module}"
     __import__(name)  # the import statement's path, which ``-X importtime`` reports
-    loaded = sys.modules[name]
-    if _frozen_modules is not None and len(sys.modules) > _frozen_modules:
-        gc.freeze()
-        _frozen_modules = len(sys.modules)
-    return loaded
+    return sys.modules[name]
 
 
 def _lazy(module: str, name: str):
@@ -383,19 +370,15 @@ def cmd_metric(opts: CliOptions, paths):
 
 
 def run() -> None:
-    """Process entry point: freeze the heap at dispatch and after each load
-    that imports modules, then run ``main``.
+    """Process entry point: run ``main``, then freeze the heap.
 
-    Everything imported lives until the process ends, so moving it to the
-    permanent generation spares the full collections at interpreter exit a
-    walk over it.  At dispatch that is click and the standard library; the
-    numerics and training modules a command loads (``_load``) are frozen
-    after their import.  In-process calls of ``main`` never freeze.
+    ``main`` ends by ``SystemExit`` (click's standalone mode) or returns,
+    and the process exits; freezing then moves everything the command
+    made, its imports included, to the permanent generation, which the
+    collections at interpreter exit skip.  In-process calls of ``main``
+    never freeze.
     """
-    global _frozen_modules
-    gc.freeze()
-    _frozen_modules = len(sys.modules)
     try:
         main()
     finally:
-        _frozen_modules = None
+        gc.freeze()

@@ -207,10 +207,12 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     drives training and, unless ``data_seed`` is given, data generation as
     well; the CLI's ``--seed S`` reaches this rule as the key ``seed = S``.
     ``noise_sigma`` accepts a single float or a comma-separated list (one
-    value per modality).
+    value per modality).  Raises ``InvalidConfigError`` where
+    ``train.check_splits`` does, so a config that cannot train is refused
+    before any data is made.
     """
     from .synth import SyntheticSpec  # training modules load on first use
-    from .train import TrainConfig
+    from .train import TrainConfig, check_splits
 
     spec_kwargs: dict = {}
     train_kwargs: dict = {}
@@ -233,7 +235,9 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
             raise InvalidConfigError(f"bad value for {key!r}: {value!r}") from exc
     if "seed" in train_kwargs and "seed" not in spec_kwargs:
         spec_kwargs["seed"] = train_kwargs["seed"]
-    return SyntheticSpec(**spec_kwargs), TrainConfig(**train_kwargs)
+    spec, config = SyntheticSpec(**spec_kwargs), TrainConfig(**train_kwargs)
+    check_splits(config, spec.samples, spec.modalities)
+    return spec, config
 
 
 def read_key_values(path: str | Path) -> dict[str, str]:

@@ -172,14 +172,20 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     return MultimodalDataset(views=tuple(views), labels=labels)
 
 
+def split_sizes(samples: int, holdout_fraction: float) -> tuple[int, int]:
+    """The training and held-out sample counts of ``split_dataset`` on
+    ``samples`` samples, without the data."""
+    if not (0.0 < holdout_fraction < 1.0):
+        raise InvalidSpecError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+    cut = int(round(samples * (1.0 - holdout_fraction)))
+    cut = max(min(max(cut, 1), samples - 1), 0)  # >= 1 a side from 2 samples; 0 from 0
+    return cut, samples - cut
+
+
 def split_dataset(
     dataset: MultimodalDataset, holdout_fraction: float
 ) -> tuple[MultimodalDataset, MultimodalDataset]:
     """Fixed split by position: the leading samples train, the trailing
     ``holdout_fraction`` (``TrainConfig.holdout_fraction``) holds out."""
-    if not (0.0 < holdout_fraction < 1.0):
-        raise InvalidSpecError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    n = dataset.num_samples
-    cut = int(round(n * (1.0 - holdout_fraction)))
-    cut = min(max(cut, 1), n - 1)
-    return dataset.subset(slice(cut)), dataset.subset(slice(cut, n))
+    cut, _ = split_sizes(dataset.num_samples, holdout_fraction)
+    return dataset.subset(slice(cut)), dataset.subset(slice(cut, None))

@@ -155,6 +155,30 @@ def evaluate(
     return TraceRow(epoch, report.l_d2a, report.l_a2d, report.l_dam, matched, mismatched, r1)
 
 
+def check_splits(config: TrainConfig, samples: int, modalities: int) -> None:
+    """Raise ``InvalidConfigError`` when ``config`` cannot train on a
+    dataset of ``samples`` samples of ``modalities`` modalities: its
+    training or held-out split holds fewer than 2 samples (no contrastive
+    gradient, no mismatched tuple to evaluate), or one step's
+    (modalities - 1) B^2 cross volumes exceed ``synth.MAX_RUN_VALUES``.
+
+    It needs the sizes only, so ``formats.build_train_setup`` runs it
+    before any data is made.
+    """
+    for name, part, size in zip(("training", "held-out"),
+                                synth.split_sizes(samples, config.holdout_fraction),
+                                (config.batch_size, config.eval_max_samples)):
+        if part < 2:
+            raise InvalidConfigError(
+                f"the {name} split holds {part} of {samples} samples "
+                f"(holdout_fraction {config.holdout_fraction}); it needs at least 2"
+            )
+        grid = (modalities - 1) * min(size, part) ** 2
+        if grid > synth.MAX_RUN_VALUES:
+            raise InvalidConfigError(f"a {name} step's cross-volume grid needs {grid} "
+                                     f"float64 values, more than {synth.MAX_RUN_VALUES}")
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def train(
     config: TrainConfig,
@@ -166,27 +190,14 @@ def train(
     ``embed_dim`` is the encoders' output width, the ``embed_dim`` of the
     ``SyntheticSpec`` that generated ``dataset``.
 
-    Raises ``InvalidConfigError`` when the training split holds fewer than
-    2 samples (no contrastive gradient) or the held-out split does (no
-    mismatched tuple to evaluate) or one step's (modalities - 1) B^2 cross
-    volumes exceed ``synth.MAX_RUN_VALUES``; and ``DivergedTrainingError``
-    (carrying the partial trace) if any loss value stops being finite, a
-    float operation overflows or turns invalid, or an encoder produces a
-    zero embedding.
+    Raises ``InvalidConfigError`` where ``check_splits`` does, and
+    ``DivergedTrainingError`` (carrying the partial trace) if any loss
+    value stops being finite, a float operation overflows or turns
+    invalid, or an encoder produces a zero embedding.
     """
+    check_splits(config, dataset.num_samples, dataset.modalities)
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
-    for name, part, size in (("training", train_ds, config.batch_size),
-                             ("held-out", held_ds, config.eval_max_samples)):
-        if part.num_samples < 2:
-            raise InvalidConfigError(
-                f"the {name} split holds {part.num_samples} of {dataset.num_samples} "
-                f"samples (holdout_fraction {config.holdout_fraction}); it needs at least 2"
-            )
-        grid = (dataset.modalities - 1) * min(size, part.num_samples) ** 2
-        if grid > synth.MAX_RUN_VALUES:
-            raise InvalidConfigError(f"a {name} step's cross-volume grid needs {grid} "
-                                     f"float64 values, more than {synth.MAX_RUN_VALUES}")
 
     encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
     head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None

@@ -1,5 +1,6 @@
 """CLI commands end to end, through real files and exit codes."""
 
+import contextlib
 import csv
 import gc
 import importlib
@@ -369,6 +370,36 @@ class TestTrainCommand:
             "it needs at least 2\n"
         )
         assert not (tmp_path / "run" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("lines, bound, message", [
+        (["samples = 3"], None,
+         "the held-out split holds 1 of 3 samples (holdout_fraction 0.2); it needs at least 2"),
+        # 1,638 training samples in one batch: 2 x 1638^2 cross volumes.
+        (["samples = 2048", "batch_size = 2048"], 10**6,
+         "a training step's cross-volume grid needs 5366088 float64 values, more than 1000000"),
+    ], ids=["held-out-split", "training-grid"])
+    def test_refused_config_makes_no_out_dir_or_data(self, tmp_path, monkeypatch,
+                                                     lines, bound, message):
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+        from gramvol import synth
+
+        if bound is not None:
+            monkeypatch.setattr(synth, "MAX_RUN_VALUES", bound)
+        generated = []
+        monkeypatch.setattr(cli_mod, "generate_dataset", generated.append)
+        keys = {line.split(" = ")[0] for line in lines}
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(
+            [ln for ln in self.CONFIG.splitlines() if ln.split(" = ")[0] not in keys] + lines
+        ) + "\n")
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 5, result.exception
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+        assert generated == []
 
     def test_diverged_training_exit_6(self, tmp_path, monkeypatch):
         # The bounded toy architecture cannot diverge from a config alone,
@@ -811,17 +842,27 @@ class TestUnwritableOut:
 
 
 class TestProcessEntry:
-    def test_run_freezes_before_dispatch(self, monkeypatch):
+    @pytest.mark.parametrize("ends", ["return", "exit"])
+    def test_run_freezes_what_main_made(self, monkeypatch, ends):
+        # Frozen objects are in the permanent generation, which
+        # gc.get_objects() does not list.
         import gramvol.cli as cli_mod
 
-        seen = []
-        monkeypatch.setattr(cli_mod, "main", lambda: seen.append(gc.get_freeze_count()))
-        before = gc.get_freeze_count()
+        made = []
+
+        def main():
+            made.append([])  # a list, so the collector tracks it
+            if ends == "exit":
+                sys.exit(0)  # as click's standalone mode ends
+
+        monkeypatch.setattr(cli_mod, "main", main)
         try:
-            cli_mod.run()
+            with pytest.raises(SystemExit) if ends == "exit" else contextlib.nullcontext():
+                cli_mod.run()
+            assert len(made) == 1
+            assert not any(obj is made[0] for obj in gc.get_objects())
         finally:
             gc.unfreeze()
-        assert len(seen) == 1 and seen[0] > before
 
     def test_in_process_main_does_not_freeze(self, orthogonal_pair_files):
         from click.testing import CliRunner
@@ -900,35 +941,6 @@ class TestImportSets:
         modules = imported_modules("-m", "gramvol", *args, code=code)
         assert "gramvol.cli" in modules
         assert not modules & (NUMERICS_MODULES | TRAINING_MODULES)
-
-    def test_run_freezes_what_a_command_loads(self, orthogonal_pair_files):
-        # Freeze counts at dispatch and when simmat reaches its product,
-        # after its numerics imports, in a process entered through run().
-        code = (
-            "import gc, json, sys\n"
-            "import gramvol.cli as cli\n"
-            "seen = []\n"
-            "group, product = cli.main, cli.cross_volume_matrix\n"
-            "def main():\n"
-            "    seen.append(('dispatch', gc.get_freeze_count()))\n"
-            "    group()\n"
-            "def cross_volume_matrix(batch):\n"
-            "    seen.append(('product', gc.get_freeze_count()))\n"
-            "    return product(batch)\n"
-            "cli.main, cli.cross_volume_matrix = main, cross_volume_matrix\n"
-            "sys.argv[0] = 'gramvol'\n"
-            "try:\n"
-            "    cli.run()\n"
-            "finally:\n"
-            "    print(json.dumps(dict(seen)), file=sys.__stderr__)\n"
-        )
-        paths = [orthogonal_pair_files / n for n in ("a.jsonl", "m.jsonl")]
-        res = subprocess.run(
-            [sys.executable, "-c", code, "--out", orthogonal_pair_files / "s.csv",
-             "simmat", *paths, "--anchor", "anchor"], capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        seen = json.loads(res.stderr.strip().splitlines()[-1])
-        assert 0 < seen["dispatch"] < seen["product"]
 
     @pytest.mark.parametrize("name, command", [
         ("read_embeddings", "volume"),

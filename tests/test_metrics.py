@@ -12,6 +12,7 @@ from gramvol.cli import _report
 from gramvol.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
+    EmptyInputError,
     NonSquareError,
 )
 from gramvol.metrics import alignment_metric, retrieval_recall
@@ -155,3 +156,7 @@ class TestPearson:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             gv.pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_one_point_rejected(self):
+        with pytest.raises(EmptyInputError):
+            gv.pearson([1.0], [2.0])

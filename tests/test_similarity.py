@@ -31,6 +31,12 @@ class TestModalityBatch:
         with pytest.raises(InconsistentBatchError):
             gv.ModalityBatch(rows=np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("rows", [np.zeros((0, 2)), np.array([1.0, 0.0])],
+                             ids=["no-rows", "1-d"])
+    def test_rejects_rows_that_are_not_a_nonempty_matrix(self, rows):
+        with pytest.raises(InconsistentBatchError, match="nonempty 2-D array"):
+            gv.ModalityBatch(rows=rows)
+
     @pytest.mark.filterwarnings("error")
     def test_rejects_overflowing_row_without_warning(self):
         with pytest.raises(InconsistentBatchError, match="off unit norm by inf"):

@@ -15,6 +15,7 @@ from gramvol.errors import (
     DivergedTrainingError,
     InvalidConfigError,
     InvalidSpecError,
+    ZeroVectorError,
 )
 from gramvol.losses import DamHead, Temperature, loss_report
 from gramvol.optim import EPS, AdamState, adam_step
@@ -58,6 +59,12 @@ class TestToyEncoder:
         enc = ToyEncoder.init(4, 8, rng)
         e = enc.encode(rng.standard_normal((10, 4)))
         np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
+
+    def test_zero_embedding_raises(self, rng):
+        enc = ToyEncoder.init(4, 8, rng)
+        enc.w2[...] = 0.0  # with b2 = 0, every embedding is the zero vector
+        with pytest.raises(ZeroVectorError, match="zero embedding"):
+            enc.encode(rng.standard_normal((3, 4)))
 
     def test_backward_matches_finite_differences(self, rng):
         enc = ToyEncoder.init(3, 4, rng)
@@ -225,6 +232,23 @@ class TestTrainLoop:
         ds = gv.generate_dataset(tiny_spec())
         with pytest.raises(DivergedTrainingError, match="overflow") as err:
             gv.train(tiny_config(epochs=1, **kw), ds, embed_dim=16)
+        assert [r.epoch for r in err.value.trace.rows] == [0]
+
+    def test_non_finite_total_loss_diverges(self, monkeypatch):
+        real = train_mod.loss_report
+
+        def infinite_step_loss(*args, grad=True, **kwargs):
+            report = real(*args, grad=grad, **kwargs)
+            if grad:
+                report.l_tot = math.inf
+            return report
+
+        monkeypatch.setattr(train_mod, "loss_report", infinite_step_loss)
+        ds = gv.generate_dataset(tiny_spec())
+        with pytest.raises(DivergedTrainingError,
+                           match="^training diverged at epoch 1: the total loss is not finite$"
+                           ) as err:
+            gv.train(tiny_config(epochs=1), ds, embed_dim=16)
         assert [r.epoch for r in err.value.trace.rows] == [0]
 
     def test_tau_clamped_into_range(self):

@@ -46,6 +46,10 @@ class TestNormalize:
             gv.normalize([0.0, 0.0])
         assert info.value.row is None
 
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2, 1, 3\)"):
+            gv.normalize(np.ones((2, 1, 3)))
+
     def test_smallest_zero_row_travels_on_the_error(self):
         # Rows 1 and 3 are below the cutoff too; the message and the index
         # name the smallest norm.
@@ -141,6 +145,14 @@ class TestGramianVolume:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             gv.gramian_volume([])
+
+    @pytest.mark.parametrize("vectors, error", [
+        (np.zeros((0, 3)), EmptyInputError),
+        ([np.eye(2)], DimensionMismatchError),
+    ], ids=["no-rows", "2-d-vector"])
+    def test_malformed_rows_rejected(self, vectors, error):
+        with pytest.raises(error):
+            gv.gramian_volume(vectors)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
