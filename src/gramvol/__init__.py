@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 #: imported from its module, e.g. ``gramvol.losses.loss_report``.
 _EXPORTS = {
     "losses": ("gram_contrastive_loss", "total_loss"),
-    "metrics": ("pearson",),
-    "similarity": ("ModalityBatch", "MultimodalBatch", "cross_volume_matrix",
-                   "cross_volumes"),
+    "metrics": ("ModalityBatch", "MultimodalBatch", "cross_volume_matrix",
+                "cross_volumes", "pearson"),
     "synth": ("SyntheticSpec", "generate_dataset"),
     "train": ("TrainConfig", "train"),
     "volume": ("gramian_volume", "normalize", "volume_gradient"),

@@ -9,11 +9,11 @@ scores raw vectors.  Diagnostics go to stderr; stdout carries data only.
 Module scope imports click, the standard library and ``errors`` only, so
 ``--help``, a command's ``--help`` and a usage error never import numpy.
 A command loads what it uses (``_load``) when it first calls into it:
-``volume`` loads ``formats`` and ``volume``, ``simmat`` also
-``similarity``, ``eval`` and ``metric`` also ``metrics``, and ``train``
-``formats`` and the training modules.  The library functions the
-commands call are module-level stand-ins (``_lazy``), so patching one of
-these globals reaches every call.
+``volume`` loads ``formats`` and ``volume``, ``simmat``, ``eval`` and
+``metric`` also ``metrics``, and ``train`` ``formats`` and the training
+modules (``synth``, ``train``, ``losses``, ``encoders``).  The library
+functions the commands call are module-level stand-ins (``_lazy``), so
+patching one of these globals reaches every call.
 
 ``eval`` and ``metric`` print one JSON line; their --out file holds that
 line, or a header line and a value line of CSV when the path ends in
@@ -102,7 +102,7 @@ def _lazy(module: str, name: str):
 read_embeddings = _lazy("formats", "read_embeddings")
 _atomic_write_text = _lazy("formats", "_atomic_write_text")
 normalize = _lazy("volume", "normalize")
-cross_volume_matrix = _lazy("similarity", "cross_volume_matrix")
+cross_volume_matrix = _lazy("metrics", "cross_volume_matrix")
 retrieval_recall = _lazy("metrics", "retrieval_recall")
 alignment_metric = _lazy("metrics", "alignment_metric")
 generate_dataset = _lazy("synth", "generate_dataset")
@@ -246,12 +246,12 @@ def _anchor_batch(files, anchor_name, ids=None):
     anchor = files[names.index(anchor_name)]
     ordered = [anchor, *(f for f in files if f is not anchor)]
     ids = ordered[1].ids if ids is None else ids
-    similarity = _load("similarity")
+    metrics = _load("metrics")
     anchor, *datas = (
-        similarity.ModalityBatch(rows=rows, modality_name=f.modality)
+        metrics.ModalityBatch(rows=rows, modality_name=f.modality)
         for f, rows in zip(ordered, _rows(ordered, ids))
     )
-    return ids, similarity.MultimodalBatch(anchor=anchor, datas=tuple(datas))
+    return ids, metrics.MultimodalBatch(anchor=anchor, datas=tuple(datas))
 
 
 @main.command("volume")

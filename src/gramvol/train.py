@@ -10,6 +10,12 @@ Each epoch ends with an evaluation on a fixed prefix of the held-out
 split: the run's own losses, mean matched / mismatched volume, and
 top-1 retrieval over the cross-volume matrix (epoch 0 records the
 untrained state).
+
+Adam is written out here (no framework) so the finite-difference
+gradient checks cover the entire training path.  Parameters live in a
+flat name -> array dict; scalars are 0-d arrays.  Only the learning rate
+is a setting: the moment decays and the denominator guard are Adam's
+usual constants.
 """
 
 from __future__ import annotations
@@ -38,9 +44,7 @@ from .losses import (
     cosine_pairwise_report,
     loss_report,
 )
-from .metrics import retrieval_recall
-from .optim import AdamState, adam_step
-from .similarity import cross_volumes
+from .metrics import cross_volumes, retrieval_recall
 from .synth import MultimodalDataset, split_dataset
 
 #: Each objective's report function, by loss kind, as the name of a global
@@ -48,6 +52,11 @@ from .synth import MultimodalDataset, split_dataset
 #: they call it, so a wrapper set on this module sees every call.
 _REPORTS = {"gram": "loss_report", "cosine": "cosine_pairwise_report"}
 LOSS_KINDS = tuple(_REPORTS)
+
+#: Adam's moment decays and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -177,6 +186,41 @@ def check_splits(config: TrainConfig, samples: int, modalities: int) -> None:
         if grid > synth.MAX_RUN_VALUES:
             raise InvalidConfigError(f"a {name} step's cross-volume grid needs {grid} "
                                      f"float64 values, more than {synth.MAX_RUN_VALUES}")
+
+
+@dataclass
+class AdamState:
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
+
+    @classmethod
+    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+            t=0,
+        )
+
+
+def adam_step(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    lr: float,
+) -> None:
+    """One update with bias-corrected moments, in place on ``params`` and
+    ``state``.  Parameters without a grad entry are left as they are."""
+    state.t += 1
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
+    for name, g in grads.items():
+        p, m, v = params[name], state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")

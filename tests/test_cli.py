@@ -882,12 +882,11 @@ class TestProcessEntry:
 
 
 #: Modules that only training needs.
-TRAINING_MODULES = {"gramvol.train", "gramvol.losses", "gramvol.optim",
-                    "gramvol.encoders", "gramvol.synth", "logging"}
+TRAINING_MODULES = {"gramvol.train", "gramvol.losses", "gramvol.encoders", "gramvol.synth",
+                    "logging"}
 
 #: Modules that only a command body needs.
-NUMERICS_MODULES = {"numpy", "gramvol.formats", "gramvol.volume", "gramvol.similarity",
-                    "gramvol.metrics"}
+NUMERICS_MODULES = {"numpy", "gramvol.formats", "gramvol.volume", "gramvol.metrics"}
 
 
 def imported_modules(*args, code=0):
@@ -919,7 +918,7 @@ class TestImportSets:
         numerics = {
             "--help": set(),
             "volume": {"numpy", "gramvol.formats", "gramvol.volume"},
-            "simmat": {"numpy", "gramvol.formats", "gramvol.volume", "gramvol.similarity"},
+            "simmat": NUMERICS_MODULES,
             "eval": NUMERICS_MODULES,
             "metric": NUMERICS_MODULES,
         }[command]

@@ -1,11 +1,14 @@
 """Synthetic dataset generation: determinism, structure, validation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gramvol import SyntheticSpec, generate_dataset
 from gramvol.errors import InvalidSpecError
-from gramvol.synth import split_dataset
+from gramvol.synth import split_dataset, split_sizes
 
 from conftest import assert_same_at_1_and_2_threads
 
@@ -134,3 +137,21 @@ class TestSplit:
         ds = generate_dataset(SyntheticSpec(samples=10, seed=0))
         with pytest.raises(InvalidSpecError):
             split_dataset(ds, 1.5)
+
+    def test_benchmark_copy_of_the_split_formula_matches(self):
+        # perfbench/run.py counts the samples behind train_samples_per_s
+        # with its own copy of the formula.  The function is compiled alone
+        # from the file's syntax tree: importing run.py sets environment
+        # variables.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "n_train_samples")
+        namespace = {}
+        exec(compile(ast.Module(body=[func], type_ignores=[]), str(path), "exec"), namespace)
+        n_train_samples = namespace["n_train_samples"]
+        mismatches = [(samples, holdout)
+                      for holdout in (0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9)
+                      for samples in range(1, 5001)
+                      if n_train_samples(samples, holdout) != split_sizes(samples, holdout)[0]]
+        assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[:3]}"

@@ -18,8 +18,7 @@ from gramvol.errors import (
     ZeroVectorError,
 )
 from gramvol.losses import DamHead, Temperature, loss_report
-from gramvol.optim import EPS, AdamState, adam_step
-from gramvol.train import TraceRow, cosine_pairwise_report, evaluate
+from gramvol.train import EPS, AdamState, TraceRow, adam_step, cosine_pairwise_report, evaluate
 
 from conftest import central_diff, rel_err, unit_rows
 
