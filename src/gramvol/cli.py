@@ -15,12 +15,11 @@ modules (``synth``, ``train``, ``losses``, ``encoders``).  The library
 functions the commands call are module-level stand-ins (``_lazy``), so
 patching one of these globals reaches every call.
 
-``eval`` and ``metric`` print one JSON line; their --out file holds that
-line, or a header line and a value line of CSV when the path ends in
-``.csv``.  ``volume`` prints a tab-separated table
-whose id cells are quoted as CSV needs (an id holding a tab, a quote, LF
-or CR).  Exit codes are stable, and the command group maps each library
-error to one:
+``eval`` and ``metric`` print one JSON line, and their --out file holds
+that line.  ``volume`` prints a tab-separated table, one row per id of
+the first file in file order, whose id cells are quoted as CSV needs (an
+id holding a tab, a quote, LF or CR).  Exit codes are stable, and the
+command group maps each library error to one:
 
     0  success
     2  embedding file parse/data error, one "path:line:" message (a bad
@@ -31,15 +30,16 @@ error to one:
        cannot be read; files of different dimensions; a vector of norm
        below 1e-30 ("<path>: id '<id>': cannot normalize ..."); for
        simmat, eval and metric, two files with the same modality name
-    3  a requested id is missing from one of the modality files
+    3  an id of the file whose order the rows follow is missing from
+       another modality file
     4  unknown anchor modality name
     5  configuration error: simmat, eval or metric given fewer than two
        files, an eval --ks with no cutoff or a cutoff below 1, an --out
        path that cannot be written ("cannot write <path>: <reason>"), a
        train config that cannot be read, is not UTF-8, has a key other
        than the fields of ``SyntheticSpec``/``TrainConfig`` (``lambda``
-       names ``lam`` and ``data_seed`` the spec's ``seed``) or holds a bad
-       value (batch_size or eval_max_samples below 2, tau_init outside
+       names ``lam``; ``seed`` sets both) or holds a bad value
+       (batch_size or eval_max_samples below 2, tau_init outside
        [1e-3, 10], a seed below 0, a non-finite float, a noise_sigma that
        overflows the generated data, a training or held-out split of
        fewer than 2 samples, sizes whose run would allocate more than
@@ -151,16 +151,11 @@ def _write_output(path: Path, text: str) -> None:
 
 
 def _report(path: Path | None, report: dict) -> None:
-    """Print a flat report as one JSON line, and write it to ``path`` when
-    given: a header and a value line of CSV when it ends in .csv, else the
-    JSON line."""
+    """Print a flat report as one JSON line, and write that line to
+    ``path`` when given."""
     line = json.dumps(report)
     if path is not None:
-        if str(path).endswith(".csv"):
-            values = ",".join(v if isinstance(v, str) else repr(v) for v in report.values())
-            _write_output(path, f"{','.join(report)}\n{values}\n")
-        else:
-            _write_output(path, line + "\n")
+        _write_output(path, line + "\n")
     click.echo(line)
 
 
@@ -172,21 +167,13 @@ def _cell(text: str, delimiter: str = ",") -> str:
     return text
 
 
-@dataclasses.dataclass
-class CliOptions:
-    seed: int | None
-    out: Path | None
-
-
 @click.group(cls=_Cli)
-@click.option("--seed", type=int, default=None,
-              help="Override the seed from the config (train only).")
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Output path; a directory for train, a file elsewhere.")
 @click.pass_context
-def main(ctx, seed, out):
+def main(ctx, out):
     """Volume-based multimodal similarity toolbox."""
-    ctx.obj = CliOptions(seed=seed, out=out)
+    ctx.obj = out
 
 
 def _read_file(path: str):
@@ -256,25 +243,22 @@ def _anchor_batch(files, anchor_name, ids=None):
 
 @main.command("volume")
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
-@click.option("--ids", "id_filter", default=None,
-              help="Comma-separated ids to report (default: all, first-file order).")
 @click.pass_obj
-def cmd_volume(opts: CliOptions, paths, id_filter):
-    """Print the tuple volume for each id across the modality files."""
+def cmd_volume(out: Path | None, paths):
+    """Print the tuple volume for each id across the modality files.
+
+    Rows follow the first file's ids, in its order.
+    """
     files = _load_files(paths)
     ids = files[0].ids
-    if id_filter is not None:
-        ids = [i.strip() for i in id_filter.split(",") if i.strip()]
-    vols = []
-    if ids:
-        mats = _rows(files, ids)
-        vols = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True).values
+    mats = _rows(files, ids)
+    vols = _load("volume").VolumeBatch(mats[0], mats[1:], paired=True).values
     lines = ["id\tk\tvolume"]
     lines.extend("\t".join((_cell(rec_id, "\t"), str(len(files)), f"{vol:.12g}"))
                  for rec_id, vol in zip(ids, vols))
     text = "\n".join(lines)
-    if opts.out is not None:
-        _write_output(opts.out, text + "\n")
+    if out is not None:
+        _write_output(out, text + "\n")
     click.echo(text)
 
 
@@ -283,7 +267,7 @@ def cmd_volume(opts: CliOptions, paths, id_filter):
 @click.option("--anchor", "anchor_name", required=True,
               help="Modality name used as the anchor (column axis).")
 @click.pass_obj
-def cmd_simmat(opts: CliOptions, paths, anchor_name):
+def cmd_simmat(out: Path | None, paths, anchor_name):
     """Write the B x B cross-volume matrix as CSV with id headers."""
     files = _load_files(paths)
     ids, batch = _anchor_batch(files, anchor_name)
@@ -293,7 +277,7 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
     lines = [",".join(["id", *map(_cell, ids)]) + "\n"]
     lines.extend(_cell(rec_id) + "," + template % tuple(row.tolist())
                  for rec_id, row in zip(ids, values))
-    out_path = opts.out if opts.out is not None else Path("simmat.csv")
+    out_path = out if out is not None else Path("simmat.csv")
     _write_output(out_path, "".join(lines))
     click.echo(f"wrote {out_path}", err=True)
 
@@ -301,14 +285,11 @@ def cmd_simmat(opts: CliOptions, paths, anchor_name):
 @main.command("train")
 @click.argument("config_path", type=click.Path())
 @click.pass_obj
-def cmd_train(opts: CliOptions, config_path):
+def cmd_train(out: Path | None, config_path):
     """Generate the synthetic dataset and train; write trace + checkpoint."""
     formats = _load("formats")
-    kv = formats.read_key_values(config_path)
-    if opts.seed is not None:
-        kv["seed"] = str(opts.seed)
-    spec, config = formats.build_train_setup(kv)
-    out_dir = opts.out if opts.out is not None else Path(".")
+    spec, config = formats.build_train_setup(formats.read_key_values(config_path))
+    out_dir = out if out is not None else Path(".")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(spec)
@@ -333,7 +314,7 @@ def cmd_train(opts: CliOptions, config_path):
 @click.option("--ks", default=None,
               help="Comma-separated recall cutoffs.")
 @click.pass_obj
-def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
+def cmd_eval(out: Path | None, paths, anchor_name, ks):
     """Retrieval recall over the cross-volume matrix (diagonal = match)."""
     if ks is None:
         ks = ",".join(map(str, _load("metrics").DEFAULT_KS))
@@ -351,18 +332,18 @@ def cmd_eval(opts: CliOptions, paths, anchor_name, ks):
     recalls = retrieval_recall(cross_volume_matrix(batch).values, ks=k_values)
     report = {"direction": "data_to_anchor", "queries": len(ids)}
     report.update({f"r_at_{k}": recalls[k] for k in k_values})
-    _report(opts.out, report)
+    _report(out, report)
 
 
 @main.command("metric")
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @click.pass_obj
-def cmd_metric(opts: CliOptions, paths):
+def cmd_metric(out: Path | None, paths):
     """Mean matched-tuple volume over all ids (and 1 - mean)."""
     files = _load_files(paths)
     ids, batch = _anchor_batch(files, files[0].modality, files[0].ids)
     score = alignment_metric(batch)
-    _report(opts.out, {
+    _report(out, {
         "mean_matched_volume": score.mean_matched_volume,
         "one_minus_gram": score.one_minus_gram,
         "samples": len(ids),

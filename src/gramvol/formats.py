@@ -203,13 +203,11 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     """Typed (SyntheticSpec, TrainConfig) from parsed key=value pairs.
 
     Each key is a field of either class, parsed by the type of its default;
-    ``lambda`` sets ``lam`` and ``data_seed`` the spec's ``seed``.  ``seed``
-    drives training and, unless ``data_seed`` is given, data generation as
-    well; the CLI's ``--seed S`` reaches this rule as the key ``seed = S``.
-    ``noise_sigma`` accepts a single float or a comma-separated list (one
-    value per modality).  Raises ``InvalidConfigError`` where
-    ``train.check_splits`` does, so a config that cannot train is refused
-    before any data is made.
+    ``lambda`` sets ``lam``.  ``seed``, a field of both, drives data
+    generation and training.  ``noise_sigma`` accepts a single float or a
+    comma-separated list (one value per modality).  Raises
+    ``InvalidConfigError`` where ``train.check_splits`` does, so a config
+    that cannot train is refused before any data is made.
     """
     from .synth import SyntheticSpec  # training modules load on first use
     from .train import TrainConfig, check_splits
@@ -217,10 +215,10 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     spec_kwargs: dict = {}
     train_kwargs: dict = {}
     targets = {}  # config key -> (kwargs, field name, parser)
-    for cls, kwargs, renamed in ((SyntheticSpec, spec_kwargs, {"seed": "data_seed"}),
-                                 (TrainConfig, train_kwargs, {"lam": "lambda"})):
+    for cls, kwargs in ((SyntheticSpec, spec_kwargs), (TrainConfig, train_kwargs)):
         for f in fields(cls):
-            targets[renamed.get(f.name, f.name)] = (kwargs, f.name, type(f.default))
+            key = "lambda" if f.name == "lam" else f.name
+            targets[key] = (kwargs, f.name, type(f.default))
     for key, value in kv.items():
         if key not in targets:
             raise InvalidConfigError(f"unknown config key {key!r}")
@@ -233,7 +231,7 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
                 kwargs[name] = parse(value)
         except ValueError as exc:
             raise InvalidConfigError(f"bad value for {key!r}: {value!r}") from exc
-    if "seed" in train_kwargs and "seed" not in spec_kwargs:
+    if "seed" in train_kwargs:
         spec_kwargs["seed"] = train_kwargs["seed"]
     spec, config = SyntheticSpec(**spec_kwargs), TrainConfig(**train_kwargs)
     check_splits(config, spec.samples, spec.modalities)

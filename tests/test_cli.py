@@ -127,13 +127,6 @@ class TestVolumeCommand:
         assert text.split("\n")[1].startswith("plain\t2\t")
         assert "\na,b\t2\t" in text
 
-    def test_id_filter(self, tmp_path):
-        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
-        write_modality(tmp_path / "b.jsonl", "b", ["p", "q"], np.eye(2)[::-1].copy())
-        res = run_cli("volume", "--ids", "q", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-        body = res.stdout.strip().split("\n")[1:]
-        assert len(body) == 1 and body[0].startswith("q\t")
-
 
 class TestSimmatCommand:
     def test_single_record(self, tmp_path, rng):
@@ -475,15 +468,6 @@ class TestTrainCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: boom\n"
 
-    def test_negative_seed_flag_exit_5(self, tmp_path):
-        # With data_seed set, TrainConfig rejects the seed before SyntheticSpec sees it.
-        cfg = tmp_path / "train.cfg"
-        for data_seed in ("", "data_seed = 7\n"):
-            cfg.write_text(self.CONFIG + data_seed)
-            res = run_cli("--seed", "-1", "--out", tmp_path / "run", "train", cfg)
-            assert res.returncode == 5
-            assert res.stderr == "error: seed must be >= 0, got -1\n"
-
     @pytest.mark.parametrize("line", ["lr = 1e300", "lambda = 1e300"])
     def test_overflow_exit_6_with_partial_trace(self, tmp_path, line):
         key = line.split(" = ")[0]
@@ -498,28 +482,6 @@ class TestTrainCommand:
         lines = (out / "trace.csv").read_text().strip().split("\n")
         assert len(lines) == 2 and lines[1].startswith("0,")
         assert not (out / "checkpoint.bin").exists()
-
-    def test_seed_flag_overrides(self, tmp_path):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(self.CONFIG)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli("--seed", 4, "--out", out1, "train", cfg).returncode == 0
-        assert run_cli("--out", out2, "train", cfg).returncode == 0
-        # config already has seed 4, so overriding with 4 changes nothing
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-
-    @pytest.mark.parametrize("data_seed", ["", "data_seed = 7\n"])
-    def test_seed_flag_acts_as_seed_key(self, tmp_path, data_seed):
-        # --seed 3 trains like "seed = 3" in the config: data_seed, when
-        # set, still picks the data.
-        flagged, keyed = tmp_path / "flagged.cfg", tmp_path / "keyed.cfg"
-        flagged.write_text(self.CONFIG + data_seed)
-        keyed.write_text(self.CONFIG.replace("seed = 4", "seed = 3") + data_seed)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli("--seed", 3, "--out", out1, "train", flagged).returncode == 0
-        assert run_cli("--out", out2, "train", keyed).returncode == 0
-        for fname in ("trace.csv", "checkpoint.bin"):
-            assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
 class TestEvalCommand:
@@ -707,9 +669,9 @@ class TestReaderErrors:
 
 
 class TestReportOut:
-    """``eval``/``metric --out``: CSV for a ``.csv`` path, else the JSON line."""
+    """``eval``/``metric --out``: every path gets the JSON line stdout prints."""
 
-    HEADERS = {
+    KEYS = {
         "eval": ["direction", "queries", "r_at_1", "r_at_5", "r_at_10"],
         "metric": ["mean_matched_volume", "one_minus_gram", "samples"],
     }
@@ -726,26 +688,13 @@ class TestReportOut:
         return json.loads(res.stdout), res.stdout
 
     @pytest.mark.parametrize("command", ["eval", "metric"])
-    def test_csv_header_and_values(self, tmp_path, rng, command):
-        out = tmp_path / "report.csv"
-        report, _ = self.run(tmp_path, rng, command, out)
-        lines = out.read_text().split("\n")
-        assert len(lines) == 3 and lines[2] == ""
-        header, values = lines[0].split(","), lines[1].split(",")
-        assert header == self.HEADERS[command] == list(report)
-        for key, text in zip(header, values):
-            if key == "direction":
-                assert text == report[key] == "data_to_anchor"
-            else:
-                assert float(text) == report[key]
-
-    @pytest.mark.parametrize("command", ["eval", "metric"])
-    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    @pytest.mark.parametrize("suffix", [".json", ".txt", ".csv"])
     def test_other_suffix_writes_the_json_line(self, tmp_path, rng, command, suffix):
         out = tmp_path / f"report{suffix}"
-        _, stdout = self.run(tmp_path, rng, command, out)
+        report, stdout = self.run(tmp_path, rng, command, out)
         assert out.read_text() == stdout
         assert len(stdout.splitlines()) == 1
+        assert list(report) == self.KEYS[command]
 
 
 class TestNormRange:
@@ -796,6 +745,17 @@ class TestNormRange:
 
 
 class TestRemovedOptions:
+    """Flags that were removed are click usage errors: exit 2, "No such
+    option", no traceback, no stdout and no output."""
+
+    @staticmethod
+    def check_usage_error(res, flag, out):
+        assert res.returncode == 2
+        assert "No such option" in res.stderr and flag in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
     def test_normalize_flags_are_usage_errors(self, tmp_path, flag):
         # Every command scales its rows to unit norm; there is no switch.
@@ -804,11 +764,23 @@ class TestRemovedOptions:
         out = tmp_path / "out.csv"
         res = run_cli(flag, "--out", out, "simmat", tmp_path / "a.jsonl", tmp_path / "b.jsonl",
                       "--anchor", "a")
-        assert res.returncode == 2
-        assert "No such option" in res.stderr and flag in res.stderr
-        assert "Traceback" not in res.stderr
-        assert res.stdout == ""
-        assert not out.exists()
+        self.check_usage_error(res, flag, out)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--ids"])
+    def test_seed_and_ids_flags_are_usage_errors(self, tmp_path, flag):
+        # The config's seed key is the one seed setter; volume reports
+        # every id of the first file.
+        write_modality(tmp_path / "a.jsonl", "a", ["p", "q"], np.eye(2))
+        write_modality(tmp_path / "b.jsonl", "b", ["p", "q"], np.eye(2))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TestTrainCommand.CONFIG)
+        out = tmp_path / "out"
+        args = {
+            "--seed": ["--seed", "3", "--out", out, "train", cfg],
+            "--ids": ["--out", out, "volume", "--ids", "p",
+                      tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
+        }[flag]
+        self.check_usage_error(run_cli(*args), flag, out)
 
 
 class TestUnwritableOut:

@@ -162,7 +162,6 @@ TRAIN_KEYS = {
     # 1 and 2 samples leave fewer than 2 to train on, 3 fewer than 2 to hold
     # out; from 16 on, every holdout_fraction drawn leaves at least 2 of each.
     "samples": ("24", _ints(16, 128), ["0", "-5", "1", "2", "3", *NOT_INT]),
-    "data_seed": ("1", _ints(0, 9), ["-1", *NOT_INT]),
     "paired_dims": ("0", _ints(0, 1), ["-1", "50", *NOT_INT]),
     "batch_size": ("8", _ints(2, 64), ["1", "0", "-2", *NOT_INT]),
     "epochs": ("0", _ints(0, 1), ["-1", *NOT_INT]),
@@ -174,8 +173,8 @@ TRAIN_KEYS = {
     "eval_max_samples": ("8", _ints(2, 64), ["0", "1", *NOT_INT]),
     "holdout_fraction": ("0.2", _floats(0.1, 0.5), ["0", "1", "1.5", *NOT_FINITE]),
 }
-# Field names that are not keys, and keys that never were.
-UNKNOWN_KEYS = ["lam", "spec.seed", "hidden", "encoders", "learning_rate"]
+# Field names that are not keys, a removed key, and keys that never were.
+UNKNOWN_KEYS = ["lam", "spec.seed", "data_seed", "hidden", "encoders", "learning_rate"]
 
 
 def run_train(tmp, config: str):
@@ -199,14 +198,15 @@ def test_train_keys_are_the_dataclass_fields():
     from gramvol import SyntheticSpec, TrainConfig
 
     names = {f.name for f in fields(SyntheticSpec)} | {f.name for f in fields(TrainConfig)}
-    assert set(TRAIN_KEYS) - {"lambda", "data_seed"} == names - {"lam"}
+    assert set(TRAIN_KEYS) - {"lambda"} == names - {"lam"}
 
 
 def test_every_bad_value_exits_5(tmp_path):
     base = {key: value for key, (value, _, _) in TRAIN_KEYS.items()}
     assert run_train(tmp_path, "".join(f"{k} = {v}\n" for k, v in base.items())).exit_code == 0
     cases = [(key, bad) for key, (_, _, bads) in TRAIN_KEYS.items() for bad in bads]
-    cases += [(key, "0.1") for key in UNKNOWN_KEYS]
+    # An integer, so that data_seed fails for being unknown, not for its value.
+    cases += [(key, "1") for key in UNKNOWN_KEYS]
     for key, bad in cases:
         config = "".join(f"{k} = {v}\n" for k, v in {**base, key: bad}.items())
         assert run_train(tmp_path, config).exit_code == 5, (key, bad)

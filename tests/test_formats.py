@@ -148,31 +148,27 @@ class TestConfigParsing:
         assert isinstance(spec, SyntheticSpec) and isinstance(config, TrainConfig)
         assert spec.modalities == 4
         assert spec.sigmas() == (0.4, 0.3, 0.2, 0.1)
-        assert spec.seed == 9  # seed propagates to data unless data_seed given
+        assert spec.seed == 9  # one seed drives the data and training
         assert config.seed == 9
         assert config.lam == 0.2
         assert config.loss == "cosine"
 
-    def test_data_seed_decoupled(self):
-        spec, config = build_train_setup({"seed": "1", "data_seed": "5"})
-        assert spec.seed == 5
-        assert config.seed == 1
-
     def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            build_train_setup({"learning_rate": "0.1"})
+        for key in ("learning_rate", "data_seed"):
+            with pytest.raises(InvalidConfigError, match=f"^unknown config key '{key}'$"):
+                build_train_setup({key: "1"})
 
     def test_every_key_sets_its_field(self):
         spec, config = build_train_setup({
             "latent_dim": "5", "embed_dim": "9", "modalities": "2", "num_classes": "3",
-            "noise_sigma": "0.5,0.25", "samples": "77", "data_seed": "6", "paired_dims": "1",
+            "noise_sigma": "0.5,0.25", "samples": "77", "paired_dims": "1",
             "batch_size": "5", "epochs": "4", "lr": "0.5", "lambda": "0.375",
             "tau_init": "2.5", "seed": "8", "loss": "cosine", "eval_max_samples": "33",
             "holdout_fraction": "0.625",
         })
         assert spec == SyntheticSpec(
             latent_dim=5, embed_dim=9, modalities=2, num_classes=3, noise_sigma=(0.5, 0.25),
-            samples=77, seed=6, paired_dims=1,
+            samples=77, seed=8, paired_dims=1,
         )
         assert config == TrainConfig(
             batch_size=5, epochs=4, lr=0.5, lam=0.375, tau_init=2.5, seed=8, loss="cosine",

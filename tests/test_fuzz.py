@@ -50,7 +50,7 @@ BASE_CONFIG = {
     "eval_max_samples": "8", "seed": "0",
 }
 CONFIG_KEYS = [
-    *BASE_CONFIG, "paired_dims", "data_seed", "lr", "lambda", "tau_init", "loss",
+    *BASE_CONFIG, "paired_dims", "lr", "lambda", "tau_init", "loss",
     "holdout_fraction",
 ]
 #: Config values: zero, negatives, non-numbers, non-finite values and sizes
@@ -83,13 +83,14 @@ def _check(result, allowed, case):
 
 def _mutate_file(r: random.Random, text: str) -> bytes:
     """One to three edits of a JSON-lines file: a token replaced, a line
-    dropped or repeated, the modality renamed, or a character inserted
-    or deleted (raw bytes, so the result may not be UTF-8)."""
+    dropped or repeated, the modality renamed, a vector's last element
+    dropped or repeated, or a character inserted or deleted (raw bytes, so
+    the result may not be UTF-8)."""
     lines = text.splitlines()
     raw = None
     for _ in range(r.randint(1, 3)):
         i = r.randrange(len(lines))
-        kind = r.randrange(6)
+        kind = r.randrange(7)
         if kind == 0:
             tokens = list(_TOKEN.finditer(lines[i]))
             if tokens:
@@ -105,6 +106,10 @@ def _mutate_file(r: random.Random, text: str) -> bytes:
         elif kind == 4 and lines[i]:
             j = r.randrange(len(lines[i]))
             lines[i] = lines[i][:j] + lines[i][j + 1:]
+        elif kind == 5:
+            # A vector of another length, which token edits seldom make.
+            last = r.choice([0, 2])
+            lines[i] = re.sub(r"(, [^,\[\]]+)\]", lambda m: m.group(1) * last + "]", lines[i])
         else:
             raw = r.choice([b"\xff", b"\r", b"\x00", b"\t", b"\\", b"\xc3"])
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -140,7 +145,6 @@ def test_mutated_embedding_files(tmp_path, base_records, seed):
         target.write_bytes(mutated)
         command = r.choice([
             ["volume", *paths],
-            ["volume", "--ids", r.choice(["p0,p5", "p0,zz", ","]), *paths],
             ["--out", tmp_path / "simmat.csv", "simmat", "--anchor", "a", *paths],
             ["eval", "--anchor", r.choice(["a", "c"]), *paths],
             ["metric", *paths],

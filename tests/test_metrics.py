@@ -127,14 +127,6 @@ class TestReportSerialization:
         assert json.loads(lines[0])["r_at_5"] == 0.75
         assert capsys.readouterr().out == lines[0] + "\n"
 
-    def test_csv_round_trip_values(self, tmp_path):
-        report = {"mean_matched_volume": 0.3, "one_minus_gram": 0.7}
-        path = tmp_path / "report.csv"
-        _report(path, report)
-        header, values = path.read_text().strip().split("\n")
-        assert header == "mean_matched_volume,one_minus_gram"
-        assert [float(v) for v in values.split(",")] == [0.3, 0.7]
-
 
 class TestPearson:
     def test_perfect_linear(self):
