@@ -43,16 +43,11 @@ def git(*args: str) -> str | None:
 def openblas_info() -> dict:
     """The kernel and configuration string of numpy's bundled OpenBLAS, each
     None where numpy ships no OpenBLAS that reports it."""
-    import numpy as np
+    sys.path.insert(0, str(ROOT / "src"))
+    from gramvol.volume import openblas_libraries
 
     info = {"blas_core": None, "blas_config": None}
-    root = Path(np.__file__).parent
-    for path in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
-                        *(root / ".dylibs").glob("*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
+    for lib in openblas_libraries():
         for key, what in (("blas_core", "corename"), ("blas_config", "config")):
             for name in (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}64_",
                          f"openblas_get_{what}"):

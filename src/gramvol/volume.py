@@ -12,26 +12,32 @@ for k > n the vectors are linearly dependent and the volume is 0.
 Every volume comes from one batched kernel, ``VolumeBatch``.  For a
 tuple of an anchor a and k-1 data rows D, the Schur complement of the Gram
 matrix gives det G = det(D D^T) * s, with s the squared distance of a from
-span D.  Each sample's data rows are factored once by a row-wise
-Gram-Schmidt pass on their inner products, so a B x B cross-volume matrix
-costs B small factorizations plus one (B, B, k-1) contraction, and a
-single tuple is the B = 1 case.  Rank deficiency is detected row by row:
-a data row's pivot at or below (k + n) * eps * (its squared norm), or an
-anchor's residual at or below (k + n) * eps * |a|^2, gives a volume of
-exactly 0 instead of roundoff noise.  The n term covers the rounding of
-the length-n inner products the pivots are made of (an n-term sum is off
-by up to about n * eps / 2 of its rows' norms), the k term the at most k
+span D.  Each sample's data rows are factored once, D = R Q, by modified
+Gram-Schmidt on the rows themselves, so a B x B cross-volume matrix costs
+B small factorizations plus one (B, B, k-1) grid c = Q a, and a single
+tuple is the B = 1 case.  Working on the rows, a pivot keeps its relative
+accuracy when data rows are nearly collinear: it is off by about eps over
+their angle, where a factorization of their inner products would be off
+by eps over its square.  The anchor's residual s = |a|^2 - |c|^2 still
+cancels when a nearly lies in span D.  Rank deficiency is detected row by
+row: a data row's squared pivot at or below (k + n) * eps * (its squared
+norm), or an anchor's residual at or below (k + n) * eps * |a|^2, gives a
+volume of exactly 0 instead of roundoff noise.  The n term covers the
+rounding of the length-n inner products (an n-term sum is off by up to
+about n * eps / 2 of its rows' norms), the k term the at most k
 elimination steps after them.  Each row is judged against its own norm,
 so the test does not change when rows are rescaled.
 
 The contractions run on BLAS, through two helpers.  ``_dots`` makes one
 ``ddot`` call per inner product, over that entry's own two vectors: the
-data rows' Gram matrices, the anchors' norms and the paired form's D a.
-``_matmul`` computes every matrix product: the cross form's D a grid, as
-one product of the (k-1) B data rows with the B anchors, and the backward
-pass.  Both set numpy's bundled OpenBLAS to one thread for their calls and
-restore the caller's count after, so their bits do not depend on the
-thread count, on any OpenBLAS kernel.  The count is process-wide: when
+Gram-Schmidt coefficients and pivots, the anchors' norms and the paired
+form's c.  ``_matmul`` computes every matrix product: the cross form's c
+grid, as one product of the (k-1) B rows of Q with the B anchors, and the
+backward pass.  It pads both dimensions of a product to a multiple of 8,
+with zero rows and zero columns, so an entry does not depend on its
+position.  Both set numpy's bundled OpenBLAS to one thread for their
+calls and restore the caller's count after, so their bits do not depend
+on the thread count, on any OpenBLAS kernel.  The count is process-wide: when
 Python threads call into gramvol at once, the first call to start pins it
 and the last to finish restores it, so another thread's direct numpy
 calls see one BLAS thread while a gramvol call runs.  Under another BLAS
@@ -40,7 +46,8 @@ calls see one BLAS thread while a gramvol call runs.  Under another BLAS
 A cross entry matches the per-tuple call (a 1 x 1 cross form) and the
 paired form up to rounding, not bit for bit: a product of another shape,
 or a ``ddot``, rounds its sums in another order.  Rank-deficient tuples
-are exactly 0 in every form, and equal anchors give equal columns.
+are exactly 0 in every form, equal anchors give equal columns, and
+permuting the samples permutes the cross-volume matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -160,9 +167,9 @@ def squared_norms(arr: np.ndarray) -> np.ndarray:
         return _dots(arr, arr)
 
 
-def _openblas_threads():
-    """numpy's bundled OpenBLAS thread-count getter and setter, or None.
-    Wheels ship it in ``numpy.libs`` (Linux, Windows) or ``numpy/.dylibs``."""
+def openblas_libraries():
+    """Yield numpy's bundled OpenBLAS libraries that load, in name order.
+    Wheels ship them in ``numpy.libs`` (Linux, Windows) or ``numpy/.dylibs``."""
     root = os.path.dirname(np.__file__)
     for path in sorted(glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
                        + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
@@ -170,6 +177,12 @@ def _openblas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
+        yield lib
+
+
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count getter and setter, or None."""
+    for lib in openblas_libraries():
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "openblas_{}_num_threads"):
             if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
@@ -226,46 +239,20 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for a matrix ``x`` (M, K) and a matrix (K, N) or vector
     (K,) ``y``, on one BLAS thread.
 
-    Every matrix product of the package goes through here.  A matrix
-    ``y`` is padded with zero columns to a width that is a multiple of 8,
-    so equal columns of ``y`` give equal output columns: a ragged edge
-    would run them through narrower kernels that round differently.
+    Every matrix product of the package goes through here.  ``x`` is
+    padded with zero rows, and a matrix ``y`` with zero columns, to a
+    multiple of 8, so an output entry depends on its own row of ``x`` and
+    column of ``y`` only, never on their positions: a ragged edge would run
+    some rows or columns through narrower kernels that round differently.
     """
+    m = x.shape[0]
     n = y.shape[1] if y.ndim == 2 else 0
+    if m % 8:
+        x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
     if n % 8:
-        padded = np.zeros((y.shape[0], n + -n % 8))
-        padded[:, :n] = y
-        return _one_thread(np.matmul, x, padded)[:, :n]
-    return _one_thread(np.matmul, x, y)
-
-
-def _eliminate(x: np.ndarray, norm2: np.ndarray, u: np.ndarray, p: np.ndarray):
-    """Gram-Schmidt step for one more row, written on inner products.
-
-    ``x`` (t, B, J) holds the row's inner products with the first t data
-    rows of each sample, one (B, J) plane per data row, and ``norm2``
-    (broadcast to (B, J)) its squared norm; ``u`` (k-1, k-1, B) and ``p``
-    (k-1, B) are those rows' unscaled factor and pivots.  Overwrites ``x``
-    with the row's unscaled coefficients y, y_l = <row, q_l> * sqrt(p_l),
-    and returns y and the residual norm2 - sum_l y_l^2 / p_l: the row's
-    squared distance from the span.  Data rows and anchors run this same
-    code, so an anchor equal to a data row reproduces that row's
-    arithmetic up to the rounding of its inner products.  The loops are
-    elementwise, with no reduction, so no entry depends on its position in
-    the batch.
-    """
-    res = np.empty(x.shape[1:])
-    res[...] = norm2
-    tmp = np.empty_like(res)
-    for t, yt in enumerate(x):
-        for l in range(t):
-            np.multiply(x[l], u[t, l, :, None], out=tmp)
-            tmp /= p[l, :, None]
-            yt -= tmp
-        np.multiply(yt, yt, out=tmp)
-        tmp /= p[t, :, None]
-        res -= tmp
-    return x, res
+        y = np.concatenate([y, np.zeros((y.shape[0], -n % 8))], axis=1)
+    out = _one_thread(np.matmul, x, y)[:m]
+    return out[:, :n] if n % 8 else out
 
 
 class VolumeBatch:
@@ -280,48 +267,54 @@ class VolumeBatch:
     (k + n) * eps * (the product of its rows' squared norms), the bound of
     the rank test.
 
-    With D = R Q the Gram-Schmidt factorization of a sample's data rows and
-    c = Q a, det G = det(D D^T) * s with s = |a|^2 - |c|^2.  Gram-Schmidt
-    runs on inner products, then ``_eliminate``: once over each sample's
-    data rows (``_dots``), whose squared pivots multiply to det(D D^T), and
-    once more for the anchors, on D a.  The cross form's D a grid is one
-    ``_matmul`` of the (k-1) B data rows against the B anchors; the paired
-    form takes each sample's own k-1 inner products from ``_dots``.
+    Each sample's data rows D are factored once, D = R Q, by modified
+    Gram-Schmidt on the rows themselves, with R lower triangular and the
+    rows of Q orthonormal; the coefficients and squared pivots are
+    ``_dots``, and Q is written over the data rows of the stacked copy of
+    the inputs.  With c = Q a, det G = det(D D^T) * s, where det(D D^T) is
+    the product of the squared pivots and s = |a|^2 - |c|^2.  The cross
+    form's c is one ``_matmul`` of the (k-1) B rows of Q against the B
+    anchors; the paired form takes each sample's own k-1 entries from
+    ``_dots``.  Q, R and c are kept for ``backward``.
     """
 
     def __init__(self, anchor, datas, paired: bool = False):
         rows = np.stack([anchor, *datas]).astype(np.float64, copy=False)
-        a, d = rows[0], rows[1:]
+        a, q = rows[0], rows[1:]
         k, b, n = rows.shape
-        g = _dots(d[:, None], d[None])
-        if paired:
-            da = _dots(d, a)[..., None]
-            a2 = _dots(a, a)[:, None]
-        else:
-            da = _matmul(d.reshape(-1, n), a.T).reshape(k - 1, b, b)
-            a2 = _dots(a, a)[None]
         # Each pivot and residual is judged against its own row's squared
         # norm, so the test does not depend on the rows' relative scales;
         # (k + n) * eps bounds the roundoff of the dots and the elimination.
         tol = (k + n) * _EPS
-        tol_d = tol * g[range(k - 1), range(k - 1)]
-        tol_s = tol * a2
-        u = np.zeros((k - 1, k - 1, b))
+        tol_d = tol * _dots(q, q)
+        r = np.zeros((k - 1, k - 1, b))
         piv = np.empty((k - 1, b))
-        # A pivot at or below the tolerance is replaced by 1 in ``p``, so
-        # nothing divides by zero; every volume of that sample is 0 anyway.
-        p = np.ones((k - 1, b))
-        det_d = np.ones(b)
         for t in range(k - 1):
-            y, res = _eliminate(g[t, :t, :, None].copy(), g[t, t, :, None], u, p)
-            u[t, :t], piv[t] = y[..., 0], res[:, 0]
-            p[t] = np.where(piv[t] > tol_d[t], piv[t], 1.0)
-            det_d *= piv[t]
-        y, s = _eliminate(da, a2, u, p)
-        det = det_d[:, None] * s
-        det[(piv <= tol_d).any(axis=0)[:, None] | (s <= tol_s) | (k > n)] = 0.0
+            for l in range(t):
+                r[t, l] = _dots(q[t], q[l])
+                q[t] -= r[t, l, :, None] * q[l]
+            piv[t] = _dots(q[t], q[t])
+            # A pivot at or below the tolerance is replaced by 1, so
+            # nothing divides by zero; every volume of that sample is 0.
+            r[t, t] = np.sqrt(np.where(piv[t] > tol_d[t], piv[t], 1.0))
+            q[t] /= r[t, t, :, None]
+        if paired:
+            c = _dots(q, a)[..., None]
+            a2 = _dots(a, a)[:, None]
+        else:
+            c = _matmul(q.reshape(-1, n), a.T).reshape(k - 1, b, b)
+            a2 = _dots(a, a)[None]
+        s = np.empty(c.shape[1:])
+        s[...] = a2
+        tmp = np.empty_like(s)
+        for ct in c:
+            np.multiply(ct, ct, out=tmp)
+            s -= tmp
+        del tmp  # one (B, B) array fewer at the peak, once det and vol exist
+        det = np.prod(piv, axis=0)[:, None] * s
+        det[(piv <= tol_d).any(axis=0)[:, None] | (s <= tol * a2) | (k > n)] = 0.0
         vol = np.sqrt(det)
-        self._a, self._d, self._u, self._p, self._y = a, d, u, p, y
+        self._a, self._q, self._r, self._c = a, q, r, c
         self._s, self._vol = s, vol
         self.gram_det = det[:, 0] if paired else det
         self.values = vol[:, 0] if paired else vol
@@ -337,23 +330,13 @@ class VolumeBatch:
 
         For each entry, dV/da = V r / s and dV/dD = V R^-T (Q - c r^T / s),
         with r = a - Q^T c the part of a off span D.  Both are contracted
-        with ``dvalues`` directly, summed over the entries each row joins:
-        two ``_matmul`` products over the (k-1) B data rows, and per
-        sample the (k-1) x (k-1) inner products of its coefficients
-        (``_dots``).
+        with ``dvalues`` directly, summed over the entries each row joins,
+        on the forward pass's Q, R and c: two ``_matmul`` products over
+        the (k-1) B rows of Q, per sample the (k-1) x (k-1) inner products
+        of its coefficients (``_dots``), and a back substitution with R.
         """
-        a, d, vol = self._a, self._d, self._vol
-        m, b, n = d.shape
-        sqrt_p = np.sqrt(self._p)
-        r = self._u / sqrt_p
-        r[range(m), range(m)] = sqrt_p
-        c = self._y / sqrt_p[..., None]
-        q = np.empty_like(d)
-        for t in range(m):
-            q[t] = d[t]
-            for l in range(t):
-                q[t] -= r[t, l, :, None] * q[l]
-            q[t] /= r[t, t, :, None]
+        a, q, r, c, vol = self._a, self._q, self._r, self._c, self._vol
+        m, b, n = q.shape
         live = vol > DEGENERATE_VOLUME
         w = np.where(live, np.reshape(dvalues, vol.shape), 0.0) * vol
         alpha = np.divide(w, self._s, out=np.zeros_like(w), where=live)

@@ -1,6 +1,8 @@
 """Core volume math: examples, invariants, and gradient correctness."""
 
+import decimal
 import math
+import operator
 import subprocess
 import sys
 import threading
@@ -361,6 +363,59 @@ class TestVolumeBatchBackward:
         assert np.abs(grad_anchor - expected_anchor).max() <= 1e-12 * largest
         assert np.abs(grad_datas - expected_datas).max() <= 1e-12 * largest
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["cross", "paired"])
+    def test_inputs_are_left_unchanged(self, rng, paired):
+        # The factor is written over the kernel's own stacked copy.
+        anchor, datas = self.inputs(rng, 7, 4, 9)
+        stacked = np.stack(datas)
+        before = anchor.copy(), stacked.copy()
+        batch = VolumeBatch(anchor, stacked, paired=paired)
+        if not paired:
+            batch.backward(rng.standard_normal((7, 7)))
+        assert np.array_equal(anchor, before[0]) and np.array_equal(stacked, before[1])
+
+
+def exact_volume(rows) -> float:
+    """sqrt(det G) of the given floats: the Gram matrix and its
+    determinant exact in ``Fraction``, the square root in 40-digit
+    ``Decimal``, then rounded to a float."""
+    exact = [[Fraction(float(x)) for x in row] for row in rows]
+    g = [[sum(map(operator.mul, u, v), Fraction(0)) for v in exact] for u in exact]
+    det = Fraction(1)
+    for t in range(len(g)):
+        det *= g[t][t]
+        for i in range(t + 1, len(g)):
+            f = g[i][t] / g[t][t]
+            g[i] = [x - f * y for x, y in zip(g[i], g[t])]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float((decimal.Decimal(det.numerator) / det.denominator).sqrt())
+
+
+class TestNearCollinearDataRows:
+    """A tuple's last data row a small angle from its first, against the
+    exact volume of the given floats.  Gram-Schmidt on the rows themselves
+    loses about eps / angle of the volume; on their inner products it
+    would lose eps / angle^2."""
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["cross", "paired"])
+    @pytest.mark.parametrize("angle", [1e-4, 1e-6])
+    @pytest.mark.parametrize("k, n", [(3, 16), (3, 64), (3, 256), (4, 16), (4, 64), (4, 256)])
+    def test_within_1e_9_of_exact_volume(self, rng, k, n, angle, paired):
+        b = 3
+        anchor = unit_rows(rng, b, n)
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        off = unit_rows(rng, b, n)
+        off -= np.vecdot(off, datas[0])[:, None] * datas[0]
+        off /= np.sqrt(np.vecdot(off, off))[:, None]
+        datas[-1] = math.cos(angle) * datas[0] + math.sin(angle) * off
+        values = VolumeBatch(anchor, datas, paired=paired).values
+        for i in range(b):
+            for j in [i] if paired else range(b):
+                want = exact_volume([anchor[j], *(d[i] for d in datas)])
+                got = values[i] if paired else values[i, j]
+                assert abs(got - want) <= 1e-9 * want, (i, j, got, want)
+
 
 class TestPairedForm:
     """The paired form is the cross form's diagonal, up to rounding: it
@@ -422,6 +477,33 @@ for case in range(60):
     print(m, n, k, hashlib.sha256(_matmul(x, y).tobytes()).hexdigest())
 """
 
+#: On seeded shapes whose M is not a multiple of 8, prints whether
+#: ``_matmul`` of row-permuted ``x`` is the product's rows permuted, then
+#: whether ``cross_volumes`` of permuted samples (B odd, so the (k-1) B data
+#: rows are not a multiple of 8 either) is the permuted matrix.
+ROW_PERMUTATION_SCRIPT = """
+import numpy as np
+from gramvol import cross_volumes
+from gramvol.volume import _matmul
+
+r = np.random.default_rng(26)
+for case in range(30):
+    m = 8 * int(r.integers(0, 80)) + int(r.integers(1, 8))
+    n, k = (int(v) for v in r.integers(1, (300, 600)))
+    x, y = r.standard_normal((m, k)), r.standard_normal((k, n))
+    perm = r.permutation(m)
+    print("matmul", m, n, k, np.array_equal(_matmul(x[perm], y), _matmul(x, y)[perm]))
+for case in range(30):
+    b, k = 2 * int(r.integers(1, 10)) + 1, int(r.integers(2, 5))
+    n = int(r.integers(k, 40))
+    rows = r.standard_normal((k, b, n))
+    rows /= np.sqrt(np.vecdot(rows, rows))[..., None]
+    perm = r.permutation(b)
+    want = cross_volumes(rows[0], rows[1:])[np.ix_(perm, perm)]
+    got = cross_volumes(rows[0][perm], rows[1:, perm])
+    print("cross_volumes", b, k, n, np.array_equal(got, want))
+"""
+
 
 class TestMatmul:
     @pytest.mark.parametrize("m, k, n", [
@@ -435,10 +517,10 @@ class TestMatmul:
             np.testing.assert_allclose(got, xs @ ys, rtol=1e-13, atol=1e-13 * max(k, 1))
 
     @pytest.mark.parametrize("k", [256, 600])
-    @pytest.mark.parametrize("m", [64, 38])
+    @pytest.mark.parametrize("m", [64, 40])
     def test_plain_product_at_width_multiple_of_8(self, rng, m, k):
-        # At a width that is a multiple of 8 the product is one plain call,
-        # at any M and K.  The reference runs on one thread too, since this
+        # When M and the width are multiples of 8 the product is one plain
+        # call, at any K.  The reference runs on one thread too, since this
         # process may run BLAS on more.
         x, y = rng.standard_normal((m, k)), rng.standard_normal((k, 192))
         assert np.array_equal(_matmul(x, y), _one_thread(np.matmul, x, y))
@@ -446,6 +528,12 @@ class TestMatmul:
     @pytest.mark.parametrize("core", BLAS_CORES)
     def test_bit_identical_across_blas_thread_counts(self, core):
         assert len(assert_same_at_1_and_2_threads(["-c", MATMUL_SCRIPT], core=core)) == 60
+
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_row_permutation_is_bit_exact(self, core):
+        lines = assert_same_at_1_and_2_threads(["-c", ROW_PERMUTATION_SCRIPT], core=core)
+        assert len(lines) == 60
+        assert [line for line in lines if not line.endswith(" True")] == []
 
     def test_pin_restores_the_thread_count_and_falls_back(self, rng, monkeypatch):
         # Without the OpenBLAS calls the padded product runs unpinned: still
