@@ -8,16 +8,18 @@ B x B matrix whose (i, j) entry is the parallelotope volume of sample j's
 anchor embedding together with sample i's data embeddings; the matched
 tuples sit on the diagonal.  The matrix comes from the batched volume
 kernel, ``volume.VolumeBatch``: each sample's data rows are factored once,
-D = R Q, by Gram-Schmidt on the rows, and the Schur complement then gives
-every anchor's volume against them from one (B, B, k-1) grid of inner
-products of the rows of Q with the anchors.  That grid is one matrix
-product (``volume._matmul``), so an entry matches the per-tuple
-``volume.gramian_volume`` call and the paired form up to rounding, within
-the bound of ``VolumeBatch``, not bit for bit.  The product runs on one
-OpenBLAS thread and is padded to a multiple of 8 in both dimensions, so
-the matrix is the same bytes at any BLAS thread count, and permuting the
-samples permutes it bit for bit; rank-deficient tuples get exactly 0, and
-an anchor that repeats another gets an equal column, so ties stay exact.
+D = R Q, by Gram-Schmidt on the rows, and an entry is the product of
+their pivot lengths and the anchor's distance from their span, taken from
+one (B, B, k-1) grid of inner products of the rows of Q with the anchors.
+That grid is one matrix product (``volume._matmul``), so an entry matches
+the per-tuple ``volume.gramian_volume`` call up to rounding, and the
+paired form of ``alignment_metric`` (each anchor factored as one more
+row) within the bound of ``VolumeBatch``, not bit for bit.  The product
+runs on one OpenBLAS thread and is padded to a multiple of 8 in both
+dimensions, so the matrix is the same bytes at any BLAS thread count, and
+permuting the samples permutes it bit for bit; rank-deficient tuples get
+exactly 0, and an anchor that repeats another gets an equal column, so
+ties stay exact.
 
 Retrieval ranks candidates per query row, smaller values first (volumes,
 where smaller means more similar).  Ties are broken by candidate index,

@@ -47,11 +47,10 @@ from .losses import (
 from .metrics import cross_volumes, retrieval_recall
 from .synth import MultimodalDataset, split_dataset
 
-#: Each objective's report function, by loss kind, as the name of a global
-#: of this module.  The step loop and ``evaluate`` look the name up when
-#: they call it, so a wrapper set on this module sees every call.
-_REPORTS = {"gram": "loss_report", "cosine": "cosine_pairwise_report"}
-LOSS_KINDS = tuple(_REPORTS)
+#: The step loop and ``evaluate`` read ``loss_report`` ("gram") or
+#: ``cosine_pairwise_report`` ("cosine") from this module's globals at each
+#: call, so a wrapper set on this module sees every call.
+LOSS_KINDS = ("gram", "cosine")
 
 #: Adam's moment decays and denominator guard.
 BETA1 = 0.9
@@ -153,7 +152,8 @@ def evaluate(
     embeds = [
         enc.encode(view[:nsel]) for enc, view in zip(encoders, dataset.views)
     ]
-    report = globals()[_REPORTS[loss_kind]](embeds[0], embeds[1:], tau, head, lam, grad=False)
+    objective = loss_report if loss_kind == "gram" else cosine_pairwise_report
+    report = objective(embeds[0], embeds[1:], tau, head, lam, grad=False)
     # The volume objective has scored the cross volumes already.
     vols = report.volumes
     if vols is None:
@@ -276,8 +276,8 @@ def train(
                 embeds, caches = zip(*(
                     enc.encode_cached(view[bidx]) for enc, view in zip(encoders, train_ds.views)
                 ))
-                report = globals()[_REPORTS[config.loss]](
-                    embeds[0], embeds[1:], current_tau(), head, config.lam)
+                objective = loss_report if config.loss == "gram" else cosine_pairwise_report
+                report = objective(embeds[0], embeds[1:], current_tau(), head, config.lam)
                 if not math.isfinite(report.l_tot):
                     raise NonFiniteLossError("the total loss is not finite")
 

@@ -1,4 +1,4 @@
-"""Parallelotope volumes from Gram determinants, and their gradients.
+"""Parallelotope volumes by Gram-Schmidt, and their gradients.
 
 Given vectors v_1..v_k in R^n, the Gram matrix G holds all pairwise inner
 products and sqrt(det G) is the k-dimensional volume of the parallelotope
@@ -9,45 +9,48 @@ dissimilarity score for any number of vectors at once.  For k = 2 unit
 vectors it reduces to sin(theta); for k = 1 it is the vector's length;
 for k > n the vectors are linearly dependent and the volume is 0.
 
-Every volume comes from one batched kernel, ``VolumeBatch``.  For a
-tuple of an anchor a and k-1 data rows D, the Schur complement of the Gram
-matrix gives det G = det(D D^T) * s, with s the squared distance of a from
-span D.  Each sample's data rows are factored once, D = R Q, by modified
-Gram-Schmidt on the rows themselves, so a B x B cross-volume matrix costs
-B small factorizations plus one (B, B, k-1) grid c = Q a, and a single
-tuple is the B = 1 case.  Working on the rows, a pivot keeps its relative
-accuracy when data rows are nearly collinear: it is off by about eps over
-their angle, where a factorization of their inner products would be off
-by eps over its square.  The anchor's residual s = |a|^2 - |c|^2 still
-cancels when a nearly lies in span D.  Rank deficiency is detected row by
-row: a data row's squared pivot at or below (k + n) * eps * (its squared
-norm), or an anchor's residual at or below (k + n) * eps * |a|^2, gives a
-volume of exactly 0 instead of roundoff noise.  The n term covers the
-rounding of the length-n inner products (an n-term sum is off by up to
-about n * eps / 2 of its rows' norms), the k term the at most k
-elimination steps after them.  Each row is judged against its own norm,
-so the test does not change when rows are rescaled.
+Every volume comes from one batched kernel, ``VolumeBatch``, and no
+determinant is formed: modified Gram-Schmidt on the rows themselves
+factors a tuple's rows, anchor last, and the volume is the product of the
+pivot lengths, each row's distance from the span of the rows before it.
+Each sample's data rows D are factored once, D = R Q, so a B x B
+cross-volume matrix costs B small factorizations plus one (B, B, k-1)
+grid c = Q a, and a single tuple is the B = 1 case; an anchor's pivot is
+then sqrt(s), with s = |a|^2 - |c|^2.  The paired form factors each
+anchor as one more row, so its pivot is the length of the explicit
+residual a - Q^T c.  Working on the rows, a pivot keeps its relative
+accuracy when its row nearly lies in the span of the rows before it: it
+is off by about eps over that angle, where s, a difference of squares, is
+off by eps over its square.  Rank deficiency is detected row by row: a
+squared pivot at or below (k + n) * eps * (its row's squared norm), or an
+s at or below (k + n) * eps * |a|^2, gives a volume of exactly 0, set
+before any square root.  The n term covers the rounding of the length-n
+inner products (an n-term sum is off by up to about n * eps / 2 of its
+rows' norms), the k term the at most k elimination steps after them.
+Each row is judged against its own norm, so the test does not change
+when rows are rescaled.
 
 The contractions run on BLAS, through two helpers.  ``_dots`` makes one
 ``ddot`` call per inner product, over that entry's own two vectors: the
-Gram-Schmidt coefficients and pivots, the anchors' norms and the paired
-form's c.  ``_matmul`` computes every matrix product: the cross form's c
-grid, as one product of the (k-1) B rows of Q with the B anchors, and the
-backward pass.  It pads both dimensions of a product to a multiple of 8,
-with zero rows and zero columns, so an entry does not depend on its
-position.  Both set numpy's bundled OpenBLAS to one thread for their
-calls and restore the caller's count after, so their bits do not depend
-on the thread count, on any OpenBLAS kernel.  The count is process-wide: when
-Python threads call into gramvol at once, the first call to start pins it
-and the last to finish restores it, so another thread's direct numpy
-calls see one BLAS thread while a gramvol call runs.  Under another BLAS
-(MKL, Accelerate) the calls run as they are, unpinned.
+Gram-Schmidt coefficients and pivots and the rows' norms.  ``_matmul``
+computes every matrix product: the cross form's c grid, as one product of
+the (k-1) B rows of Q with the B anchors, and the backward pass.  It pads
+both dimensions of a product to a multiple of 8, with zero rows and zero
+columns, so an entry does not depend on its position.  Both set numpy's
+bundled OpenBLAS to one thread for their calls and restore the caller's
+count after, so their bits do not depend on the thread count, on any
+OpenBLAS kernel.  The count is process-wide: when Python threads call
+into gramvol at once, the first call to start pins it and the last to
+finish restores it, so another thread's direct numpy calls see one BLAS
+thread while a gramvol call runs.  Under another BLAS (MKL, Accelerate)
+the calls run as they are, unpinned.
 
-A cross entry matches the per-tuple call (a 1 x 1 cross form) and the
-paired form up to rounding, not bit for bit: a product of another shape,
-or a ``ddot``, rounds its sums in another order.  Rank-deficient tuples
-are exactly 0 in every form, equal anchors give equal columns, and
-permuting the samples permutes the cross-volume matrix bit for bit.
+A cross entry matches the per-tuple call (a 1 x 1 cross form) up to
+rounding, and the paired form up to the cancellation in s, not bit for
+bit: a product of another shape rounds its sums in another order.
+Rank-deficient tuples are exactly 0 in every form, equal anchors give
+equal columns, and permuting the samples permutes the cross-volume
+matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -80,14 +83,10 @@ DEGENERATE_VOLUME = 1e-9
 
 @dataclass(frozen=True)
 class Volume:
-    """A parallelotope volume and the Gram determinant behind it.
-
-    ``gram_det`` is computed first and is exactly 0 under rank deficiency,
-    so ``value == sqrt(gram_det)`` always holds.
-    """
+    """A parallelotope volume: the product of its rows' Gram-Schmidt pivot
+    lengths, exactly 0 under rank deficiency or k > n."""
 
     value: float
-    gram_det: float
 
 
 @dataclass(frozen=True)
@@ -263,61 +262,59 @@ class VolumeBatch:
     rows, ``values[i, j] = Vol(anchor[j], datas[0][i], ..., datas[-1][i])``
     of shape (B, B); the paired form is its diagonal, laid out as
     ``values[i] = Vol(anchor[i], datas[0][i], ...)`` of shape (B,), up to
-    the rounding of the inner products: a Gram determinant within
-    (k + n) * eps * (the product of its rows' squared norms), the bound of
-    the rank test.
+    rounding: a squared volume within (k + n) * eps * (the product of its
+    rows' squared norms), the bound of the rank test.
 
-    Each sample's data rows D are factored once, D = R Q, by modified
-    Gram-Schmidt on the rows themselves, with R lower triangular and the
-    rows of Q orthonormal; the coefficients and squared pivots are
-    ``_dots``, and Q is written over the data rows of the stacked copy of
-    the inputs.  With c = Q a, det G = det(D D^T) * s, where det(D D^T) is
-    the product of the squared pivots and s = |a|^2 - |c|^2.  The cross
-    form's c is one ``_matmul`` of the (k-1) B rows of Q against the B
-    anchors; the paired form takes each sample's own k-1 entries from
-    ``_dots``.  Q, R and c are kept for ``backward``.
+    The rows are stacked with the anchor last and factored by modified
+    Gram-Schmidt on the rows themselves, R lower triangular and the rows of
+    Q orthonormal; the coefficients and squared pivots are ``_dots``, and Q
+    is written over the rows of the stacked copy of the inputs.  A volume
+    is the product of its pivot lengths r_tt.  The cross form factors each
+    sample's k-1 data rows D = R Q and multiplies their pivot lengths by
+    sqrt(s), with s = |a|^2 - |c|^2 and c = Q a one ``_matmul`` of the
+    (k-1) B rows of Q against the B anchors.  The paired form factors all
+    k rows of each sample, so the anchor's pivot is the length of its
+    explicit residual a - Q^T c.  A volume whose sample has a pivot at or
+    below the rank test, or whose s is there, is set to exactly 0 before
+    any square root.  The cross form keeps Q, R, c and s for ``backward``.
     """
 
     def __init__(self, anchor, datas, paired: bool = False):
-        rows = np.stack([anchor, *datas]).astype(np.float64, copy=False)
-        a, q = rows[0], rows[1:]
+        rows = np.stack([*datas, anchor]).astype(np.float64, copy=False)
         k, b, n = rows.shape
+        m = k if paired else k - 1
         # Each pivot and residual is judged against its own row's squared
         # norm, so the test does not depend on the rows' relative scales;
         # (k + n) * eps bounds the roundoff of the dots and the elimination.
         tol = (k + n) * _EPS
-        tol_d = tol * _dots(q, q)
-        r = np.zeros((k - 1, k - 1, b))
-        piv = np.empty((k - 1, b))
-        for t in range(k - 1):
+        norms = _dots(rows, rows)
+        r = np.zeros((m, m, b))
+        live = np.full(b, k <= n)
+        for t in range(m):
             for l in range(t):
-                r[t, l] = _dots(q[t], q[l])
-                q[t] -= r[t, l, :, None] * q[l]
-            piv[t] = _dots(q[t], q[t])
+                r[t, l] = _dots(rows[t], rows[l])
+                rows[t] -= r[t, l, :, None] * rows[l]
+            piv = _dots(rows[t], rows[t])
+            ok = piv > tol * norms[t]
+            live &= ok
             # A pivot at or below the tolerance is replaced by 1, so
             # nothing divides by zero; every volume of that sample is 0.
-            r[t, t] = np.sqrt(np.where(piv[t] > tol_d[t], piv[t], 1.0))
-            q[t] /= r[t, t, :, None]
+            r[t, t] = np.sqrt(np.where(ok, piv, 1.0))
+            rows[t] /= r[t, t, :, None]
+        lengths = np.where(live, np.prod(np.diagonal(r), axis=-1), 0.0)
         if paired:
-            c = _dots(q, a)[..., None]
-            a2 = _dots(a, a)[:, None]
+            self.values = lengths
         else:
-            c = _matmul(q.reshape(-1, n), a.T).reshape(k - 1, b, b)
-            a2 = _dots(a, a)[None]
-        s = np.empty(c.shape[1:])
-        s[...] = a2
-        tmp = np.empty_like(s)
-        for ct in c:
-            np.multiply(ct, ct, out=tmp)
-            s -= tmp
-        del tmp  # one (B, B) array fewer at the peak, once det and vol exist
-        det = np.prod(piv, axis=0)[:, None] * s
-        det[(piv <= tol_d).any(axis=0)[:, None] | (s <= tol * a2) | (k > n)] = 0.0
-        vol = np.sqrt(det)
-        self._a, self._q, self._r, self._c = a, q, r, c
-        self._s, self._vol = s, vol
-        self.gram_det = det[:, 0] if paired else det
-        self.values = vol[:, 0] if paired else vol
+            a, q = rows[-1], rows[:-1]
+            c = _matmul(q.reshape(-1, n), a.T).reshape(m, b, b)
+            s = np.empty((b, b))
+            s[...] = norms[-1]
+            for ct in c:
+                s -= ct * ct
+            s[~live[:, None] | (s <= tol * norms[-1])] = 0.0
+            self.values = np.sqrt(s)
+            self.values *= lengths[:, None]
+            self._a, self._q, self._r, self._c, self._s = a, q, r, c, s
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -335,7 +332,7 @@ class VolumeBatch:
         the (k-1) B rows of Q, per sample the (k-1) x (k-1) inner products
         of its coefficients (``_dots``), and a back substitution with R.
         """
-        a, q, r, c, vol = self._a, self._q, self._r, self._c, self._vol
+        a, q, r, c, vol = self._a, self._q, self._r, self._c, self.values
         m, b, n = q.shape
         live = vol > DEGENERATE_VOLUME
         w = np.where(live, np.reshape(dvalues, vol.shape), 0.0) * vol
@@ -367,7 +364,7 @@ def gramian_volume(vectors) -> Volume:
     rows = _as_rows(vectors)
     _require_finite(rows)
     batch = VolumeBatch(rows[:1], rows[1:, None])
-    return Volume(value=float(batch.values[0, 0]), gram_det=float(batch.gram_det[0, 0]))
+    return Volume(value=float(batch.values[0, 0]))
 
 
 def volume_gradient(vectors) -> VolumeGradient:

@@ -110,7 +110,6 @@ class TestGramianVolume:
         e = np.eye(4)
         vol = gv.gramian_volume([e[0], e[1], e[2]])
         assert vol.value == 1.0
-        assert vol.gram_det == 1.0
 
     def test_sixty_degree_pair(self):
         v1 = np.array([1.0, 0.0])
@@ -131,14 +130,9 @@ class TestGramianVolume:
         vol = gv.gramian_volume([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                                  gv.normalize([1.0, 1.0])])
         assert vol.value == 0.0
-        assert vol.gram_det == 0.0
 
     def test_single_vector_is_norm(self):
         assert abs(gv.gramian_volume([np.array([3.0, 4.0])]).value - 5.0) < 1e-12
-
-    def test_value_is_sqrt_of_clamped_det(self, rng):
-        vol = gv.gramian_volume(unit_rows(rng, 3, 5))
-        assert vol.value == math.sqrt(max(vol.gram_det, 0.0))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInputError):
@@ -163,7 +157,7 @@ class TestGramianVolume:
     def test_large_k_matches_eigenvalue_product(self, rng):
         rows = rng.standard_normal((12, 20))
         expected = float(np.prod(np.linalg.eigvalsh(rows @ rows.T)))
-        assert gv.gramian_volume(rows).gram_det == pytest.approx(expected, rel=1e-8)
+        assert gv.gramian_volume(rows).value ** 2 == pytest.approx(expected, rel=1e-8)
 
     def test_oracle_equivalence_sample(self, rng):
         for _ in range(100):
@@ -240,13 +234,12 @@ class TestGramianVolume:
         else:
             collinear = None
         vol = gv.gramian_volume(rows)
-        assert vol.value == math.sqrt(vol.gram_det)
         if k > n or collinear:
-            assert vol.value == 0.0 and vol.gram_det == 0.0
+            assert vol.value == 0.0
             return
         norms2 = np.einsum("kn,kn->k", rows, rows)
         bound = 1e-12 * np.prod(norms2)
-        assert abs(vol.gram_det - cofactor_det(rows @ rows.T)) <= bound
+        assert abs(vol.value ** 2 - cofactor_det(rows @ rows.T)) <= bound
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     def test_short_row_off_span_of_long_rows(self, order):
@@ -267,7 +260,7 @@ class TestGramianVolume:
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
         )
         assert det == pytest.approx(8.3283876e-7, rel=1e-7)
-        assert gv.gramian_volume(rows).gram_det == pytest.approx(det, rel=1e-4)
+        assert gv.gramian_volume(rows).value ** 2 == pytest.approx(det, rel=1e-4)
 
     def test_sine_equivalence_for_pairs(self, rng):
         for _ in range(200):
@@ -393,10 +386,11 @@ def exact_volume(rows) -> float:
 
 
 class TestNearCollinearDataRows:
-    """A tuple's last data row a small angle from its first, against the
-    exact volume of the given floats.  Gram-Schmidt on the rows themselves
-    loses about eps / angle of the volume; on their inner products it
-    would lose eps / angle^2."""
+    """A tuple's last data row a small angle from its first, or its anchor
+    a small angle from the data rows' span, against the exact volume of
+    the given floats.  Gram-Schmidt on the rows themselves loses about
+    eps / angle of the volume; on their inner products it would lose
+    eps / angle^2."""
 
     @pytest.mark.parametrize("paired", [False, True], ids=["cross", "paired"])
     @pytest.mark.parametrize("angle", [1e-4, 1e-6])
@@ -416,12 +410,33 @@ class TestNearCollinearDataRows:
                 got = values[i] if paired else values[i, j]
                 assert abs(got - want) <= 1e-9 * want, (i, j, got, want)
 
+    @pytest.mark.parametrize("angle", [1e-3, 1e-5])
+    @pytest.mark.parametrize("k, n", [(3, 16), (3, 64), (3, 256), (4, 16), (4, 64), (4, 256)])
+    def test_paired_anchor_near_data_span(self, rng, k, n, angle):
+        # The paired form factors the anchor as its last row, so its pivot
+        # is the length of the explicit residual a - Q^T c; |a|^2 - |c|^2
+        # would cancel.
+        b = 3
+        datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+        basis = np.linalg.qr(np.stack(datas, axis=-1))[0]
+        inside = np.einsum("bnt,bt->bn", basis, rng.standard_normal((b, k - 1)))
+        inside /= np.sqrt(np.vecdot(inside, inside))[:, None]
+        off = unit_rows(rng, b, n)
+        off -= np.einsum("bnt,bt->bn", basis, np.einsum("bnt,bn->bt", basis, off))
+        off /= np.sqrt(np.vecdot(off, off))[:, None]
+        anchor = math.cos(angle) * inside + math.sin(angle) * off
+        values = VolumeBatch(anchor, datas, paired=True).values
+        for i in range(b):
+            want = exact_volume([anchor[i], *(d[i] for d in datas)])
+            assert abs(values[i] - want) <= 1e-9 * want, (i, values[i], want)
+
 
 class TestPairedForm:
     """The paired form is the cross form's diagonal, up to rounding: it
-    takes each sample's inner products from its own dots, the cross form
-    from one matrix product.  The bound has the rank test's form: a Gram
-    determinant within (k + n) * eps * (the product of squared row norms)."""
+    factors each sample's anchor as a Gram-Schmidt row, the cross form
+    takes the anchors' coefficients from one matrix product.  The bound
+    has the rank test's form: a squared volume within (k + n) * eps * (the
+    product of squared row norms)."""
 
     @pytest.mark.parametrize("b, k, n", [
         (5, 1, 3),  # k = 1: each volume is the anchor's norm
@@ -444,19 +459,39 @@ class TestPairedForm:
             datas[1][2] = -3.0 * datas[0][2]  # tuple 2's data rows are collinear
         paired = VolumeBatch(anchor, datas, paired=True)
         cross = VolumeBatch(anchor, datas)
-        assert paired.values.shape == paired.gram_det.shape == (b,)
+        assert paired.values.shape == (b,)
         norms2 = np.vecdot(anchor, anchor) * np.prod([np.vecdot(d, d) for d in datas], axis=0)
         bound = (k + n) * np.finfo(np.float64).eps * norms2
-        assert (np.abs(paired.gram_det - np.diagonal(cross.gram_det)) <= bound).all()
-        assert np.array_equal(paired.values, np.sqrt(paired.gram_det))
+        assert (np.abs(paired.values ** 2 - np.diagonal(cross.values) ** 2) <= bound).all()
         if k >= 2:
-            assert paired.values[1] == 0.0 and paired.gram_det[1] == 0.0
+            assert paired.values[1] == 0.0
         if k >= 3:
             assert paired.values[2] == 0.0
         if k > n:
             assert not paired.values.any()
         if k == 1:
             assert np.array_equal(paired.values, np.sqrt(np.vecdot(anchor, anchor)))
+
+
+@pytest.mark.parametrize("case", ["collinear", "duplicated", "k>n"])
+@pytest.mark.parametrize("paired", [False, True], ids=["cross", "paired"])
+def test_exact_zeros_raise_no_floating_point_error(rng, case, paired):
+    # Collinear data rows, a data row that repeats its anchor, and more
+    # rows than dimensions: the rank test zeroes these volumes before any
+    # square root, and no step divides by 0 or overflows.
+    b, k, n = (5, 4, 3) if case == "k>n" else (5, 3, 8)
+    anchor = unit_rows(rng, b, n)
+    datas = [unit_rows(rng, b, n) for _ in range(k - 1)]
+    if case == "collinear":
+        datas[1] = -2.5 * datas[0]
+    elif case == "duplicated":
+        datas[1] = anchor.copy()
+    with np.errstate(all="raise"):
+        values = VolumeBatch(anchor, datas, paired=paired).values
+    zeros = values if paired or case != "duplicated" else np.diagonal(values)
+    assert not zeros.any()
+    if case == "duplicated" and not paired:
+        assert (values[~np.eye(b, dtype=bool)] > 0).all()
 
 
 #: Prints the SHA-256 of ``_matmul`` on 60 seeded shapes: M up to 700, N
