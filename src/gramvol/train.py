@@ -6,23 +6,29 @@ or on the pairwise-cosine objective for the baseline.  Everything is
 driven by one seed: parameter init and batch shuffling (the split is
 fixed by position), so identical seeds give bit-identical traces.
 
+The encoders run as one stacked bank (``ToyEncoder`` with a leading
+modality axis): each step gathers the batch's rows of every view into
+one (k, B, d) array, makes one forward and one backward call, and Adam
+updates the bank's four stacked arrays.  The run's ``params`` name each
+modality's arrays (``enc{i}.w1`` ...) as views of the bank, in the
+checkpoint's order.
+
 Each epoch ends with an evaluation on a fixed prefix of the held-out
 split: the run's own losses, mean matched / mismatched volume, and
 top-1 retrieval over the cross-volume matrix (epoch 0 records the
 untrained state).
 
 Adam is written out here (no framework) so the finite-difference
-gradient checks cover the entire training path.  Parameters live in a
-flat name -> array dict; scalars are 0-d arrays.  Only the learning rate
-is a setting: the moment decays and the denominator guard are Adam's
-usual constants.
+gradient checks cover the entire training path, in Kingma & Ba's
+efficient form (``adam_step``).  Parameters live in a flat name -> array
+dict; scalars are 0-d arrays.  Only the learning rate is a setting: the
+moment decays and the denominator guard are Adam's usual constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -128,7 +134,7 @@ class TrainResult:
 
 
 def evaluate(
-    encoders: Sequence[ToyEncoder],
+    encoders: ToyEncoder,
     dataset: MultimodalDataset,
     tau: Temperature,
     head: DamHead | None,
@@ -138,7 +144,8 @@ def evaluate(
     lam: float = LAMBDA_DAM,
 ) -> TraceRow:
     """The trace row of ``epoch``: losses, volumes and R@1 on the leading
-    ``max_samples`` rows of ``dataset``.
+    ``max_samples`` rows of ``dataset``, embedded in one call by the bank
+    ``encoders`` (one encoder per modality).
 
     The losses come from one forward-only report of the ``loss_kind``
     objective; ``head`` (None under the cosine objective) adds the
@@ -149,9 +156,7 @@ def evaluate(
     nsel = min(max_samples, dataset.num_samples)
     if nsel < 2:
         raise BatchTooSmallError(f"evaluation needs at least 2 samples, got {nsel}")
-    embeds = [
-        enc.encode(view[:nsel]) for enc, view in zip(encoders, dataset.views)
-    ]
+    embeds = encoders.encode(np.stack([view[:nsel] for view in dataset.views]))
     objective = loss_report if loss_kind == "gram" else cosine_pairwise_report
     report = objective(embeds[0], embeds[1:], tau, head, lam, grad=False)
     # The volume objective has scored the cross volumes already.
@@ -210,17 +215,34 @@ def adam_step(
     lr: float,
 ) -> None:
     """One update with bias-corrected moments, in place on ``params`` and
-    ``state``.  Parameters without a grad entry are left as they are."""
+    ``state``.  Parameters without a grad entry are left as they are.
+
+    The update is Kingma & Ba's efficient form (Adam, section 2): the bias
+    corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t fold into the step
+    size lr sqrt(c2) / c1 and the guard eps sqrt(c2), so each value costs
+    one square root and one division.  It is algebraically the textbook
+    update lr (m / c1) / (sqrt(v / c2) + eps), and equal to it up to
+    rounding.  Each parameter's update runs in place through one scratch
+    array.
+    """
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
-    c2 = 1.0 - BETA2 ** state.t
+    root_c2 = math.sqrt(1.0 - BETA2 ** state.t)
+    step, eps_hat = lr * root_c2 / c1, EPS * root_c2
     for name, g in grads.items():
         p, m, v = params[name], state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - BETA1, out=np.empty_like(m))
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        v += scratch
+        np.sqrt(v, out=scratch)
+        scratch += eps_hat
+        np.divide(m, scratch, out=scratch)
+        scratch *= step
+        p -= scratch
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -243,13 +265,15 @@ def train(
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
 
-    encoders = [ToyEncoder.init(view.shape[1], embed_dim, rng) for view in dataset.views]
+    # Each encoder is drawn in modality order from the run's stream, then
+    # stacked, so a seed fixes each modality's initial weights.
+    bank = ToyEncoder.stack([ToyEncoder.init(view.shape[1], embed_dim, rng)
+                             for view in dataset.views])
     head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None
 
-    params: dict[str, np.ndarray] = {}
-    for mi, enc in enumerate(encoders):
-        for name, arr in enc.params().items():
-            params[f"enc{mi}.{name}"] = arr
+    # Adam runs over the bank's stacked arrays; the result's params name
+    # each modality's encoder as views of them.
+    params = {f"enc.{name}": arr for name, arr in bank.params().items()}
     if head is not None:
         for name, arr in head.params().items():
             params[f"head.{name}"] = arr
@@ -261,7 +285,7 @@ def train(
         return Temperature(log_tau=float(params["log_tau"]))
 
     def record(epoch: int) -> None:
-        trace.rows.append(evaluate(encoders, held_ds, current_tau(), head,
+        trace.rows.append(evaluate(bank, held_ds, current_tau(), head,
                                    config.eval_max_samples, config.loss, epoch, config.lam))
 
     trace = TrainingTrace()
@@ -273,19 +297,15 @@ def train(
             perm = rng.permutation(n_train)
             for start in range(0, n_train, config.batch_size):
                 bidx = perm[start:start + config.batch_size]
-                embeds, caches = zip(*(
-                    enc.encode_cached(view[bidx]) for enc, view in zip(encoders, train_ds.views)
-                ))
+                x = np.stack([view[bidx] for view in train_ds.views])
+                embeds, cache = bank.encode_cached(x)
                 objective = loss_report if config.loss == "gram" else cosine_pairwise_report
                 report = objective(embeds[0], embeds[1:], current_tau(), head, config.lam)
                 if not math.isfinite(report.l_tot):
                     raise NonFiniteLossError("the total loss is not finite")
 
-                grads: dict[str, np.ndarray] = {}
-                for mi, enc in enumerate(encoders):
-                    grad_e = report.grad_anchor if mi == 0 else report.grad_datas[mi - 1]
-                    for name, g in enc.backward(caches[mi], grad_e).items():
-                        grads[f"enc{mi}.{name}"] = g
+                grad_e = np.concatenate([report.grad_anchor[None], report.grad_datas])
+                grads = {f"enc.{name}": g for name, g in bank.backward(cache, grad_e).items()}
                 if report.head_grads is not None:
                     for name, g in report.head_grads.items():
                         grads[f"head.{name}"] = g
@@ -300,4 +320,8 @@ def train(
             f"training diverged at epoch {epoch}: {exc}", trace=trace
         ) from exc
 
-    return TrainResult(trace=trace, encoders=encoders, params=params)
+    encoders = [bank[i] for i in range(dataset.modalities)]
+    layout = {f"enc{i}.{name}": arr
+              for i, enc in enumerate(encoders) for name, arr in enc.params().items()}
+    layout.update((name, arr) for name, arr in params.items() if not name.startswith("enc."))
+    return TrainResult(trace=trace, encoders=encoders, params=layout)

@@ -236,22 +236,25 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for a matrix ``x`` (M, K) and a matrix (K, N) or vector
-    (K,) ``y``, on one BLAS thread.
+    (K,) ``y``, or for stacks of them, (s, M, K) and (s, K, N), on one
+    BLAS thread.
 
     Every matrix product of the package goes through here.  ``x`` is
     padded with zero rows, and a matrix ``y`` with zero columns, to a
     multiple of 8, so an output entry depends on its own row of ``x`` and
     column of ``y`` only, never on their positions: a ragged edge would run
     some rows or columns through narrower kernels that round differently.
+    ``np.matmul`` makes one BLAS call per slice of a stack, so each slice
+    of the product is bit for bit that slice's own 2-D product.
     """
-    m = x.shape[0]
-    n = y.shape[1] if y.ndim == 2 else 0
+    m = x.shape[-2]
+    n = y.shape[-1] if y.ndim >= 2 else 0
     if m % 8:
-        x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
+        x = np.concatenate([x, np.zeros((*x.shape[:-2], -m % 8, x.shape[-1]))], axis=-2)
     if n % 8:
-        y = np.concatenate([y, np.zeros((y.shape[0], -n % 8))], axis=1)
-    out = _one_thread(np.matmul, x, y)[:m]
-    return out[:, :n] if n % 8 else out
+        y = np.concatenate([y, np.zeros((*y.shape[:-1], -n % 8))], axis=-1)
+    out = _one_thread(np.matmul, x, y)
+    return out[..., :m] if y.ndim == 1 else out[..., :m, :n]
 
 
 class VolumeBatch:
@@ -331,7 +334,11 @@ class VolumeBatch:
         on the forward pass's Q, R and c: two ``_matmul`` products over
         the (k-1) B rows of Q, per sample the (k-1) x (k-1) inner products
         of its coefficients (``_dots``), and a back substitution with R.
+        Raises ``ValueError`` on a paired-form batch, which keeps none of
+        these.
         """
+        if self.values.ndim == 1:
+            raise ValueError("backward needs the cross form; this batch is paired")
         a, q, r, c, vol = self._a, self._q, self._r, self._c, self.values
         m, b, n = q.shape
         live = vol > DEGENERATE_VOLUME

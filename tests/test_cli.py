@@ -210,6 +210,25 @@ class TestTrainCommand:
         header = (out / "trace.csv").read_text().split("\n")[0]
         assert header == "epoch,l_d2a,l_a2d,l_dam,matched_vol,mismatched_vol,r_at_1"
 
+    def test_checkpoint_layout(self, tmp_path):
+        # One entry per modality's encoder array, then the matching head's,
+        # then the temperature, in this order and at these shapes.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "run"
+        res = run_cli("--out", out, "train", cfg)
+        assert res.returncode == 0, res.stderr
+        sidecar = json.loads((out / "checkpoint.json").read_text())
+        d, n, h = 6, 16, 128  # latent_dim, embed_dim, the encoders' hidden width
+        expected = [(f"enc{i}.{name}", shape) for i in range(3) for name, shape in (
+            ("w1", [d, h]), ("b1", [h]), ("w2", [h, n]), ("b2", [n]))]
+        expected += [("head.w1", [3 * n, 4 * n]), ("head.b1", [4 * n]),
+                     ("head.w2", [4 * n, 4 * n]), ("head.b2", [4 * n]),
+                     ("head.w3", [4 * n]), ("head.b3", []), ("log_tau", [])]
+        assert [(t["name"], t["shape"]) for t in sidecar["tensors"]] == expected
+        values = sum(math.prod(shape) for _, shape in expected)
+        assert (out / "checkpoint.bin").stat().st_size == 8 * values
+
     def test_zero_epochs_trace_has_only_epoch_zero(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(self.CONFIG.replace("epochs = 2", "epochs = 0"))
@@ -431,8 +450,8 @@ class TestTrainCommand:
 
         def collapse_mid_run(self, x):
             calls.append(1)
-            # Three calls evaluate epoch 0; the tenth is inside epoch 1.
-            if len(calls) == 10:
+            # One call evaluates epoch 0; the fourth is epoch 1's third step.
+            if len(calls) == 4:
                 raise ZeroVectorError("encoder produced a zero embedding")
             return real(self, x)
 

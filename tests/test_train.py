@@ -20,7 +20,7 @@ from gramvol.errors import (
 from gramvol.losses import DamHead, Temperature, loss_report
 from gramvol.train import EPS, AdamState, TraceRow, adam_step, cosine_pairwise_report, evaluate
 
-from conftest import central_diff, rel_err, unit_rows
+from conftest import BLAS_CORES, assert_same_at_1_and_2_threads, central_diff, rel_err, unit_rows
 
 # The module: ``gramvol.train`` in the package namespace is the function.
 train_mod = importlib.import_module("gramvol.train")
@@ -52,8 +52,80 @@ class TestAdamStep:
         assert state.t == 2
         assert state.m["w"][0] == pytest.approx(0.1 + 0.9 * 0.1)
 
+    def test_follows_the_textbook_update(self, rng):
+        # 50 steps against lr (m / c1) / (sqrt(v / c2) + eps) on copies.
+        # Each entry's gradient keeps its sign while its scale spans 1e-6
+        # to 1e3, so a parameter moves away from 0 and its relative error
+        # is the update's; entries 0-3 have exactly zero gradients, and
+        # every other entry some zero steps.  "s" is a 0-d parameter.
+        lr, n = 1e-2, 40
+        params = {"w": np.zeros(n), "s": np.array(0.0)}
+        state = AdamState.init(params)
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        sign = np.where(rng.random(n + 1) < 0.5, -1.0, 1.0)
+        sign[:4] = 0.0
+        for t in range(1, 51):
+            g = sign * np.abs(rng.standard_normal(n + 1)) * 10.0 ** rng.uniform(-6, 3, n + 1)
+            g[rng.random(n + 1) < 0.2] = 0.0
+            grads = {"w": g[:n], "s": np.array(g[n])}
+            adam_step(params, grads, state, lr)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k, grad in grads.items():
+                ref_m[k] *= 0.9
+                ref_m[k] += (1.0 - 0.9) * grad
+                ref_v[k] *= 0.999
+                ref_v[k] += (1.0 - 0.999) * np.square(grad)
+                ref[k] -= lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + EPS)
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
+                np.testing.assert_array_equal(state.v[k], ref_v[k])
+                np.testing.assert_allclose(params[k], ref[k], rtol=1e-13, atol=0)
+        assert params["s"].shape == () and params["w"][:4].tolist() == [0.0] * 4
+        assert (np.abs(params["w"][4:]) > 0).all()
+
+
+#: Prints, for k = 3 and 4 encoders at B = 64, 13 and 38 rows and two
+#: input and output widths, whether the bank of the encoders gives each
+#: encoder's embeddings and parameter gradients bit for bit.
+BANK_SCRIPT = """
+import numpy as np
+from gramvol.encoders import ToyEncoder
+
+r = np.random.default_rng(8)
+for k in (3, 4):
+    for b in (64, 13, 38):
+        for d, n in ((16, 64), (6, 20)):
+            encs = [ToyEncoder.init(d, n, r) for _ in range(k)]
+            bank = ToyEncoder.stack(encs)
+            x, g = r.standard_normal((k, b, d)), r.standard_normal((k, b, n))
+            e, cache = bank.encode_cached(x)
+            grads = bank.backward(cache, g)
+            same_e = same_g = True
+            for i, enc in enumerate(encs):
+                ei, ci = enc.encode_cached(x[i])
+                gi = enc.backward(ci, g[i])
+                same_e &= np.array_equal(e[i], ei)
+                same_g &= all(np.array_equal(grads[name][i], gi[name]) for name in gi)
+            print(k, b, d, n, same_e, same_g)
+"""
+
 
 class TestToyEncoder:
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_bank_is_its_encoders_bit_for_bit(self, core):
+        lines = assert_same_at_1_and_2_threads(["-c", BANK_SCRIPT], core=core)
+        assert len(lines) == 12
+        assert [line for line in lines if not line.endswith(" True True")] == []
+
+    def test_bank_views_share_the_bank_arrays(self, rng):
+        bank = ToyEncoder.stack([ToyEncoder.init(4, 8, rng) for _ in range(3)])
+        assert bank.w1.shape == (3, 4, 128) and bank.b2.shape == (3, 8)
+        enc = bank[1]
+        for name, arr in enc.params().items():
+            assert arr.shape == getattr(bank, name).shape[1:]
+            assert np.shares_memory(arr, getattr(bank, name))
+
     def test_output_unit_norm(self, rng):
         enc = ToyEncoder.init(4, 8, rng)
         e = enc.encode(rng.standard_normal((10, 4)))
@@ -260,11 +332,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
     def test_losses_equal_training_report_bit_for_bit(self, rng, loss_kind):
         ds = gv.generate_dataset(tiny_spec(samples=40))
-        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         tau = Temperature.from_tau(0.2)
         row = evaluate(encoders, ds, tau, head, 32, loss_kind, 5)
-        embeds = [enc.encode(v[:32]) for enc, v in zip(encoders, ds.views)]
+        embeds = [encoders[i].encode(v[:32]) for i, v in enumerate(ds.views)]
         if loss_kind == "gram":
             rep = loss_report(embeds[0], embeds[1:], tau, head)
         else:
@@ -275,7 +347,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
     def test_builds_one_cross_volume_matrix(self, rng, monkeypatch, loss_kind):
         ds = gv.generate_dataset(tiny_spec(samples=40))
-        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         shapes = []
         init = volume.VolumeBatch.__init__
@@ -293,7 +365,7 @@ class TestEvaluate:
     def test_one_sample_raises(self, rng, loss_kind, samples, max_samples):
         # One sample has no mismatched tuple: no row rather than a NaN one.
         ds = gv.generate_dataset(tiny_spec(samples=40)).subset(slice(samples))
-        encoders = [ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views]
+        encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         with pytest.raises(BatchTooSmallError, match="at least 2 samples, got 1"):
             evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,

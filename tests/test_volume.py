@@ -472,6 +472,13 @@ class TestPairedForm:
         if k == 1:
             assert np.array_equal(paired.values, np.sqrt(np.vecdot(anchor, anchor)))
 
+    def test_backward_names_the_cross_form(self, rng):
+        # The paired form keeps no factor to differentiate.
+        anchor = unit_rows(rng, 5, 8)
+        batch = VolumeBatch(anchor, [unit_rows(rng, 5, 8), unit_rows(rng, 5, 8)], paired=True)
+        with pytest.raises(ValueError, match="cross form"):
+            batch.backward(np.ones(5))
+
 
 @pytest.mark.parametrize("case", ["collinear", "duplicated", "k>n"])
 @pytest.mark.parametrize("paired", [False, True], ids=["cross", "paired"])
@@ -539,6 +546,26 @@ for case in range(30):
     print("cross_volumes", b, k, n, np.array_equal(got, want))
 """
 
+#: On seeded stacks of 2 to 4 slices, prints whether ``_matmul`` of the
+#: stacks is, slice by slice, ``_matmul`` of the slices: M and N mostly
+#: not a multiple of 8, and each operand C-ordered or transposed per slice
+#: (as ``np.swapaxes`` leaves it).
+STACKED_MATMUL_SCRIPT = """
+import numpy as np
+from gramvol.volume import _matmul
+
+r = np.random.default_rng(41)
+for case in range(40):
+    s = int(r.integers(2, 5))
+    m, n, k = (int(v) for v in r.integers(1, (300, 300, 400)))
+    x = (r.standard_normal((s, m, k)) if case % 2
+         else np.swapaxes(r.standard_normal((s, k, m)), -1, -2))
+    y = (r.standard_normal((s, k, n)) if case % 3
+         else np.swapaxes(r.standard_normal((s, n, k)), -1, -2))
+    got = _matmul(x, y)
+    print(s, m, n, k, all(np.array_equal(got[i], _matmul(x[i], y[i])) for i in range(s)))
+"""
+
 
 class TestMatmul:
     @pytest.mark.parametrize("m, k, n", [
@@ -563,6 +590,12 @@ class TestMatmul:
     @pytest.mark.parametrize("core", BLAS_CORES)
     def test_bit_identical_across_blas_thread_counts(self, core):
         assert len(assert_same_at_1_and_2_threads(["-c", MATMUL_SCRIPT], core=core)) == 60
+
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_stacked_product_is_its_slices_products(self, core):
+        lines = assert_same_at_1_and_2_threads(["-c", STACKED_MATMUL_SCRIPT], core=core)
+        assert len(lines) == 40
+        assert [line for line in lines if not line.endswith(" True")] == []
 
     @pytest.mark.parametrize("core", BLAS_CORES)
     def test_row_permutation_is_bit_exact(self, core):
