@@ -63,7 +63,6 @@ class EmbeddingFile:
     """Parsed embedding file: one modality's (N, n) rows, in file order, and
     each id's row index."""
 
-    n: int
     modality: str
     index: dict[str, int]
     rows: np.ndarray
@@ -93,7 +92,8 @@ def _read_header(obj, line_no: int) -> int:
     if not isinstance(obj, dict) or obj.get("format_version") != EMBED_FORMAT_VERSION \
             or "n" not in obj:
         raise EmbeddingParseError(
-            "first record must be a header with format_version=1 and n", line_no
+            f"first record must be a header with format_version={EMBED_FORMAT_VERSION} and n",
+            line_no
         )
     n = obj["n"]
     if type(n) is not int or n < 1:
@@ -173,7 +173,7 @@ def read_embeddings(path: str | Path) -> EmbeddingFile:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise EmbeddingParseError("vector contains NaN or Inf", line_nos[bad[0]])
-    return EmbeddingFile(n=n, modality=modality, index=index, rows=rows)
+    return EmbeddingFile(modality=modality, index=index, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,6 @@ class DamHead:
 
     def __init__(self, k: int, n: int, rng: np.random.Generator):
         in_dim, h = k * n, 4 * n
-        self.n = n
         self.w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
         self.b1 = np.zeros(h)
         self.w2 = rng.standard_normal((h, h)) / math.sqrt(h)
@@ -188,10 +187,10 @@ class DamHead:
         negatives with ``anchor[neg_j]`` swapped in (label 0).  These share
         data blocks, so the first layer is P_a + P_d and P_a[neg_j] + P_d
         with P_a = A W1[:n], P_d = [D_1 .. D_{k-1}] W1[n:] + b1."""
-        b = anchor.shape[0]
+        b, n = anchor.shape
         dcat = np.concatenate(datas, axis=1)
-        p_d = _matmul(dcat, self.w1[self.n:]) + self.b1
-        p_a = _matmul(anchor, self.w1[:self.n])
+        p_d = _matmul(dcat, self.w1[n:]) + self.b1
+        p_a = _matmul(anchor, self.w1[:n])
         # In place: at these sizes a fresh temporary costs more than its math.
         h1 = np.concatenate([p_a, p_a[neg_j]]).reshape(2, b, -1)
         h1 += p_d

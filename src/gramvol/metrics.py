@@ -1,6 +1,7 @@
 """Validated multimodal batches, their cross-volume matrix, and the
 metrics over it: retrieval recall, the mean-volume alignment score, and
-correlation.
+correlation.  ``alignment_metric`` returns the mean matched volume as a
+float; the CLI's ``metric`` command reports 1 - mean beside it.
 
 A ``MultimodalBatch`` holds one anchor modality and k-1 data modalities
 whose rows are index-aligned samples.  ``cross_volume_matrix`` fills a
@@ -74,14 +75,6 @@ class ModalityBatch:
             )
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def batch_size(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
 
 @dataclass(frozen=True)
 class MultimodalBatch:
@@ -92,12 +85,11 @@ class MultimodalBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "datas", tuple(self.datas))
-        b, n = self.anchor.batch_size, self.anchor.dim
+        shape = self.anchor.rows.shape
         for m in self.datas:
-            if m.batch_size != b or m.dim != n:
+            if m.rows.shape != shape:
                 raise InconsistentBatchError(
-                    f"modality {m.modality_name!r} is ({m.batch_size}, {m.dim}), "
-                    f"anchor is ({b}, {n})"
+                    f"modality {m.modality_name!r} is {m.rows.shape}, anchor is {shape}"
                 )
 
 
@@ -116,18 +108,6 @@ def cross_volume_matrix(batch: MultimodalBatch) -> VolumeBatch:
     data-to-anchor loss direction, the transpose anchor-to-data.
     """
     return VolumeBatch(batch.anchor.rows, [m.rows for m in batch.datas])
-
-
-@dataclass(frozen=True)
-class AlignmentScore:
-    """Mean matched-tuple volume; lower means better aligned.
-
-    ``one_minus_gram`` is the same number flipped so that higher is better,
-    convenient next to recall curves.
-    """
-
-    mean_matched_volume: float
-    one_minus_gram: float
 
 
 def _diagonal_ranks(values: np.ndarray) -> np.ndarray:
@@ -149,11 +129,11 @@ def retrieval_recall(values: np.ndarray, ks: Sequence[int] = DEFAULT_KS) -> dict
     return {int(k): float(np.mean(ranks <= k)) for k in ks}
 
 
-def alignment_metric(batch: MultimodalBatch) -> AlignmentScore:
-    """Mean volume of the matched tuples in a multimodal batch."""
+def alignment_metric(batch: MultimodalBatch) -> float:
+    """Mean volume of the matched tuples in a multimodal batch; lower means
+    better aligned."""
     volumes = VolumeBatch(batch.anchor.rows, [m.rows for m in batch.datas], paired=True)
-    mean = float(np.mean(volumes.values))
-    return AlignmentScore(mean_matched_volume=mean, one_minus_gram=1.0 - mean)
+    return float(np.mean(volumes.values))
 
 
 def pearson(xs, ys) -> float:

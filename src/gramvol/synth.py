@@ -6,6 +6,10 @@ projection (full rank almost surely) plus modality noise.  Matched tuples
 therefore share the latent, which is exactly the signal contrastive
 training is supposed to recover, and which no desk-scale real dataset
 exposes for verification.
+
+The k views are stored as one (k, N, d) array, the input layout of the
+training's encoder bank: a step gathers its batch with one index, and the
+training and held-out splits are slices of the array, not copies.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class SyntheticSpec:
 class MultimodalDataset:
     """Raw per-modality views plus class labels; row i is sample i."""
 
-    views: tuple[np.ndarray, ...]  # k arrays of shape (N, raw_dim)
+    views: np.ndarray  # (k, N, raw_dim), the encoder bank's input layout
     labels: np.ndarray  # (N,) int
 
     @property
@@ -131,12 +135,10 @@ class MultimodalDataset:
 
     @property
     def modalities(self) -> int:
-        return len(self.views)
+        return self.views.shape[0]
 
     def subset(self, idx: slice) -> "MultimodalDataset":
-        return MultimodalDataset(
-            views=tuple(v[idx] for v in self.views), labels=self.labels[idx]
-        )
+        return MultimodalDataset(views=self.views[:, idx], labels=self.labels[idx])
 
 
 def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
@@ -157,19 +159,22 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     z = mu[labels] + rng.standard_normal((n_samples, d))
     masks = spec.visibility_masks()
-    views = []
-    for i in range(k):
+    views = np.empty((k, n_samples, d))
+    for i, out in enumerate(views):
         view = _matmul(z * masks[i], projections[i].T)
+        # The noise is drawn into the view's slot, then scaled and shifted
+        # in place: view + sigma * noise, with no temporary.
+        rng.standard_normal(out=out)
         try:
             with np.errstate(over="raise"):
-                view = view + sigmas[i] * rng.standard_normal((n_samples, d))
+                out *= sigmas[i]
+                out += view
         except FloatingPointError:
             raise InvalidSpecError(
                 f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
             ) from None
-        views.append(view)
 
-    return MultimodalDataset(views=tuple(views), labels=labels)
+    return MultimodalDataset(views=views, labels=labels)
 
 
 def split_sizes(samples: int, holdout_fraction: float) -> tuple[int, int]:

@@ -7,16 +7,17 @@ driven by one seed: parameter init and batch shuffling (the split is
 fixed by position), so identical seeds give bit-identical traces.
 
 The encoders run as one stacked bank (``ToyEncoder`` with a leading
-modality axis): each step gathers the batch's rows of every view into
-one (k, B, d) array, makes one forward and one backward call, and Adam
-updates the bank's four stacked arrays.  The run's ``params`` name each
-modality's arrays (``enc{i}.w1`` ...) as views of the bank, in the
-checkpoint's order.
+modality axis): the dataset's views are one (k, N, d) array, so each step
+indexes the batch's rows of every view as one (k, B, d) array, makes one
+forward and one backward call, and Adam updates the bank's four stacked
+arrays.  The run's ``params`` name each modality's arrays (``enc{i}.w1``
+...) as views of the bank, in the checkpoint's order.
 
 Each epoch ends with an evaluation on a fixed prefix of the held-out
 split: the run's own losses, mean matched / mismatched volume, and
 top-1 retrieval over the cross-volume matrix (epoch 0 records the
-untrained state).
+untrained state).  The objective's report function is chosen once per
+run and serves the steps and the evaluations.
 
 Adam is written out here (no framework) so the finite-difference
 gradient checks cover the entire training path, in Kingma & Ba's
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .losses import (
     TAU_MAX,
     TAU_MIN,
     DamHead,
+    LossReport,
     Temperature,
     cosine_pairwise_report,
     loss_report,
@@ -53,9 +56,10 @@ from .losses import (
 from .metrics import cross_volumes, retrieval_recall
 from .synth import MultimodalDataset, split_dataset
 
-#: The step loop and ``evaluate`` read ``loss_report`` ("gram") or
-#: ``cosine_pairwise_report`` ("cosine") from this module's globals at each
-#: call, so a wrapper set on this module sees every call.
+#: ``train`` reads ``loss_report`` ("gram") or ``cosine_pairwise_report``
+#: ("cosine") from this module's globals when it is called, and hands that
+#: function to ``evaluate``, so a wrapper set on this module before the call
+#: sees every call of the run.
 LOSS_KINDS = ("gram", "cosine")
 
 #: Adam's moment decays and denominator guard.
@@ -139,7 +143,7 @@ def evaluate(
     tau: Temperature,
     head: DamHead | None,
     max_samples: int,
-    loss_kind: str,
+    objective: Callable[..., LossReport],
     epoch: int,
     lam: float = LAMBDA_DAM,
 ) -> TraceRow:
@@ -147,17 +151,17 @@ def evaluate(
     ``max_samples`` rows of ``dataset``, embedded in one call by the bank
     ``encoders`` (one encoder per modality).
 
-    The losses come from one forward-only report of the ``loss_kind``
-    objective; ``head`` (None under the cosine objective) adds the
-    matching loss, which ``lam`` weighs in the report's total.  Raises
+    The losses come from one forward-only call of the report function
+    ``objective`` (``loss_report`` or ``cosine_pairwise_report``); ``head``
+    (None under the cosine objective) adds the matching loss, which
+    ``lam`` weighs in the report's total.  Raises
     ``BatchTooSmallError`` when the slice holds fewer than 2 samples,
     which have no mismatched tuple and no negative.
     """
     nsel = min(max_samples, dataset.num_samples)
     if nsel < 2:
         raise BatchTooSmallError(f"evaluation needs at least 2 samples, got {nsel}")
-    embeds = encoders.encode(np.stack([view[:nsel] for view in dataset.views]))
-    objective = loss_report if loss_kind == "gram" else cosine_pairwise_report
+    embeds = encoders.encode(dataset.views[:, :nsel])
     report = objective(embeds[0], embeds[1:], tau, head, lam, grad=False)
     # The volume objective has scored the cross volumes already.
     vols = report.volumes
@@ -269,7 +273,10 @@ def train(
     # stacked, so a seed fixes each modality's initial weights.
     bank = ToyEncoder.stack([ToyEncoder.init(view.shape[1], embed_dim, rng)
                              for view in dataset.views])
-    head = DamHead(dataset.modalities, embed_dim, rng) if config.loss == "gram" else None
+    if config.loss == "gram":
+        objective, head = loss_report, DamHead(dataset.modalities, embed_dim, rng)
+    else:
+        objective, head = cosine_pairwise_report, None
 
     # Adam runs over the bank's stacked arrays; the result's params name
     # each modality's encoder as views of them.
@@ -286,7 +293,7 @@ def train(
 
     def record(epoch: int) -> None:
         trace.rows.append(evaluate(bank, held_ds, current_tau(), head,
-                                   config.eval_max_samples, config.loss, epoch, config.lam))
+                                   config.eval_max_samples, objective, epoch, config.lam))
 
     trace = TrainingTrace()
     epoch = 0
@@ -297,9 +304,7 @@ def train(
             perm = rng.permutation(n_train)
             for start in range(0, n_train, config.batch_size):
                 bidx = perm[start:start + config.batch_size]
-                x = np.stack([view[bidx] for view in train_ds.views])
-                embeds, cache = bank.encode_cached(x)
-                objective = loss_report if config.loss == "gram" else cosine_pairwise_report
+                embeds, cache = bank.encode_cached(train_ds.views[:, bidx])
                 report = objective(embeds[0], embeds[1:], current_tau(), head, config.lam)
                 if not math.isfinite(report.l_tot):
                     raise NonFiniteLossError("the total loss is not finite")

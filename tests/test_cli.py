@@ -584,9 +584,7 @@ class TestMetricCommand:
             ),
         )
         expected = alignment_metric(batch)
-        assert report["mean_matched_volume"] == pytest.approx(
-            expected.mean_matched_volume, abs=1e-12
-        )
+        assert report["mean_matched_volume"] == pytest.approx(expected, abs=1e-12)
 
     def test_one_file_exit_5(self, tmp_path, rng):
         write_modality(tmp_path / "x.jsonl", "x", ["a", "b"], unit_rows(rng, 2, 3))

@@ -27,7 +27,6 @@ class TestEmbeddingFiles:
         vecs = rng.standard_normal((5, 7))
         write_embeddings(path, 7, [(f"s{i}", "video", vecs[i]) for i in range(5)])
         emb = read_embeddings(path)
-        assert emb.n == 7
         assert emb.modality == "video"
         assert emb.ids == [f"s{i}" for i in range(5)]
         assert emb.rows.dtype == np.float64 and emb.rows.shape == (5, 7)

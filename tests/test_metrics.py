@@ -4,17 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gramvol as gv
-from gramvol.cli import _report
+from gramvol.cli import _report, main
 from gramvol.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
     EmptyInputError,
     NonSquareError,
 )
+from gramvol.formats import write_embeddings
 from gramvol.metrics import alignment_metric, retrieval_recall
 
 from conftest import unit_rows
@@ -81,9 +83,7 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=rows),
             datas=(gv.ModalityBatch(rows=rows.copy()),),
         )
-        score = alignment_metric(batch)
-        assert score.mean_matched_volume == 0.0
-        assert score.one_minus_gram == 1.0
+        assert alignment_metric(batch) == 0.0
 
     def test_orthonormal_tuples(self):
         e = np.eye(4)
@@ -91,9 +91,7 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=e[:2]),
             datas=(gv.ModalityBatch(rows=e[2:]),),
         )
-        score = alignment_metric(batch)
-        assert score.mean_matched_volume == 1.0
-        assert score.one_minus_gram == 0.0
+        assert alignment_metric(batch) == 1.0
 
     def test_mixed_batch_mean(self, rng):
         v = unit_rows(rng, 1, 4)[0]
@@ -104,15 +102,19 @@ class TestAlignmentMetric:
             anchor=gv.ModalityBatch(rows=anchor),
             datas=(gv.ModalityBatch(rows=data),),
         )
-        assert alignment_metric(batch).mean_matched_volume == pytest.approx(0.5, abs=1e-12)
+        assert alignment_metric(batch) == pytest.approx(0.5, abs=1e-12)
 
-    def test_complement_identity(self, rng):
-        batch = gv.MultimodalBatch(
-            anchor=gv.ModalityBatch(rows=unit_rows(rng, 5, 6)),
-            datas=(gv.ModalityBatch(rows=unit_rows(rng, 5, 6)),),
-        )
-        score = alignment_metric(batch)
-        assert score.one_minus_gram == 1.0 - score.mean_matched_volume
+    def test_complement_identity(self, tmp_path, rng):
+        # The metric command's JSON line flips the mean so higher is better.
+        paths = [tmp_path / f"{name}.jsonl" for name in ("x", "y")]
+        for path in paths:
+            write_embeddings(path, 6, [(f"s{i}", path.stem, row)
+                                       for i, row in enumerate(unit_rows(rng, 5, 6))])
+        result = CliRunner().invoke(main, ["metric", *map(str, paths)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert 0.0 < report["mean_matched_volume"] < 1.0
+        assert report["one_minus_gram"] == 1.0 - report["mean_matched_volume"]
 
 
 class TestReportSerialization:

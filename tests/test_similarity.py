@@ -44,8 +44,9 @@ class TestModalityBatch:
 
     def test_rejects_mismatched_members(self, rng):
         a = gv.ModalityBatch(rows=unit_rows(rng, 3, 4))
-        d = gv.ModalityBatch(rows=unit_rows(rng, 2, 4))
-        with pytest.raises(InconsistentBatchError):
+        d = gv.ModalityBatch(rows=unit_rows(rng, 2, 4), modality_name="x")
+        with pytest.raises(InconsistentBatchError,
+                           match=r"^modality 'x' is \(2, 4\), anchor is \(3, 4\)$"):
             gv.MultimodalBatch(anchor=a, datas=(d,))
 
 

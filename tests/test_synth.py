@@ -85,7 +85,8 @@ class TestGenerateDataset:
         spec = SyntheticSpec(latent_dim=8, modalities=3, samples=40, seed=0)
         ds = generate_dataset(spec)
         assert ds.modalities == 3
-        assert all(v.shape == (40, 8) for v in ds.views)
+        # One array in the encoder bank's (k, N, d) layout.
+        assert isinstance(ds.views, np.ndarray) and ds.views.shape == (3, 40, 8)
         assert ds.labels.shape == (40,) and ds.num_samples == 40
 
     @pytest.mark.parametrize("others", [0.0, 0.03])
@@ -132,6 +133,9 @@ class TestSplit:
         assert held_ds.num_samples == 20
         np.testing.assert_array_equal(train_ds.views[1], ds.views[1][:80])
         np.testing.assert_array_equal(held_ds.labels, ds.labels[80:])
+        # The halves are slices of the dataset's views, not copies.
+        assert np.shares_memory(train_ds.views, ds.views)
+        assert np.shares_memory(held_ds.views, ds.views)
 
     def test_bad_fraction(self):
         ds = generate_dataset(SyntheticSpec(samples=10, seed=0))

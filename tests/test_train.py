@@ -287,8 +287,8 @@ class TestTrainLoop:
         # tanh plus row normalization keep the loss finite under any step
         # size, so non-finite values are injected at the data level.
         ds = gv.generate_dataset(tiny_spec())
-        views = tuple(v.copy() for v in ds.views)
-        views[0][0, 0] = np.nan
+        views = ds.views.copy()
+        views[0, 0, 0] = np.nan
         broken = type(ds)(views=views, labels=ds.labels)
         with pytest.raises(DivergedTrainingError) as err:
             gv.train(tiny_config(epochs=2), broken, embed_dim=16)
@@ -328,6 +328,10 @@ class TestTrainLoop:
         assert 1e-3 - 1e-12 <= math.exp(res.params["log_tau"]) <= 10.0 + 1e-12
 
 
+#: The report function ``train`` hands to ``evaluate`` for each objective.
+OBJECTIVES = {"gram": loss_report, "cosine": cosine_pairwise_report}
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
     def test_losses_equal_training_report_bit_for_bit(self, rng, loss_kind):
@@ -335,7 +339,7 @@ class TestEvaluate:
         encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         tau = Temperature.from_tau(0.2)
-        row = evaluate(encoders, ds, tau, head, 32, loss_kind, 5)
+        row = evaluate(encoders, ds, tau, head, 32, OBJECTIVES[loss_kind], 5)
         embeds = [encoders[i].encode(v[:32]) for i, v in enumerate(ds.views)]
         if loss_kind == "gram":
             rep = loss_report(embeds[0], embeds[1:], tau, head)
@@ -357,7 +361,7 @@ class TestEvaluate:
             init(self, anchor, datas, *args, **kwargs)
 
         monkeypatch.setattr(volume.VolumeBatch, "__init__", counting_init)
-        evaluate(encoders, ds, Temperature.from_tau(0.2), head, 32, loss_kind, 0)
+        evaluate(encoders, ds, Temperature.from_tau(0.2), head, 32, OBJECTIVES[loss_kind], 0)
         assert shapes == [(32, 16)]
 
     @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
@@ -369,7 +373,24 @@ class TestEvaluate:
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         with pytest.raises(BatchTooSmallError, match="at least 2 samples, got 1"):
             evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,
-                        loss_kind, 0)
+                     OBJECTIVES[loss_kind], 0)
+
+    @pytest.mark.parametrize("loss_kind", ["gram", "cosine"])
+    @pytest.mark.parametrize("max_samples", [32, 30], ids=["unpadded", "padded"])
+    def test_strided_views_give_the_bits_of_a_contiguous_copy(self, rng, loss_kind,
+                                                              max_samples):
+        # The held-out split's views are a strided slice of the dataset's
+        # (k, N, d) array, and evaluate slices them again; 30 rows are
+        # padded to 32 on their way to BLAS, 32 rows are not.
+        _, held = synth.split_dataset(gv.generate_dataset(tiny_spec()), 0.5)
+        assert not held.views.flags.c_contiguous
+        copy = synth.MultimodalDataset(views=held.views.copy(), labels=held.labels)
+        encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in held.views])
+        head = DamHead(3, 16, rng) if loss_kind == "gram" else None
+        rows = [evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,
+                         OBJECTIVES[loss_kind], 1) for ds in (held, copy)]
+        bits = [np.array(dataclasses.astuple(row)).tobytes() for row in rows]
+        assert bits[0] == bits[1]
 
 
 class TestRunSizeBound:

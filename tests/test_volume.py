@@ -566,6 +566,18 @@ for case in range(40):
     print(s, m, n, k, all(np.array_equal(got[i], _matmul(x[i], y[i])) for i in range(s)))
 """
 
+STRIDED_MATMUL_SCRIPT = """
+import numpy as np
+from gramvol.volume import _matmul
+
+r = np.random.default_rng(43)
+for k, rows, d, h in ((3, 300, 16, 128), (4, 100, 37, 64)):
+    views, w = r.standard_normal((k, rows, d)), r.standard_normal((k, d, h))
+    for m in (8, 32, 64, 96, 5, 30, 63, 99):
+        for x in (views[:, :m], views[:, rows - m:]):
+            print(k, m, np.array_equal(_matmul(x, w), _matmul(np.ascontiguousarray(x), w)))
+"""
+
 
 class TestMatmul:
     @pytest.mark.parametrize("m, k, n", [
@@ -595,6 +607,14 @@ class TestMatmul:
     def test_stacked_product_is_its_slices_products(self, core):
         lines = assert_same_at_1_and_2_threads(["-c", STACKED_MATMUL_SCRIPT], core=core)
         assert len(lines) == 40
+        assert [line for line in lines if not line.endswith(" True")] == []
+
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_strided_stack_is_its_contiguous_copy(self, core):
+        # Slices of a (k, N, d) views array, the evaluation's input to the
+        # encoder bank: M a multiple of 8 (unpadded) and not (padded).
+        lines = assert_same_at_1_and_2_threads(["-c", STRIDED_MATMUL_SCRIPT], core=core)
+        assert len(lines) == 32
         assert [line for line in lines if not line.endswith(" True")] == []
 
     @pytest.mark.parametrize("core", BLAS_CORES)
