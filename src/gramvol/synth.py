@@ -160,15 +160,15 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     z = mu[labels] + rng.standard_normal((n_samples, d))
     masks = spec.visibility_masks()
     views = np.empty((k, n_samples, d))
-    for i, out in enumerate(views):
+    for i, slot in enumerate(views):
         view = _matmul(z * masks[i], projections[i].T)
-        # The noise is drawn into the view's slot, then scaled and shifted
-        # in place: view + sigma * noise, with no temporary.
-        rng.standard_normal(out=out)
+        # The noise is drawn into the view's own slot and scaled and shifted
+        # there: the bits of view + sigma * noise, without a noise array.
+        rng.standard_normal(out=slot)
         try:
             with np.errstate(over="raise"):
-                out *= sigmas[i]
-                out += view
+                slot *= sigmas[i]
+                slot += view
         except FloatingPointError:
             raise InvalidSpecError(
                 f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
