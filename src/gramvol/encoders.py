@@ -64,10 +64,14 @@ class ToyEncoder:
     def encode_cached(self, x: np.ndarray):
         """(embeddings, cache) where the cache feeds ``backward``."""
         x = np.asarray(x, dtype=np.float64)
-        h = np.tanh(_matmul(x, self.w1) + self.b1[..., None, :])
-        u = _matmul(h, self.w2) + self.b2[..., None, :]
-        norms = np.linalg.norm(u, axis=-1, keepdims=True)
-        if float(norms.min()) < ZERO_NORM_CUTOFF:
+        # The bias adds and tanh write over each product: no fresh (k, B, H) arrays.
+        h = _matmul(x, self.w1)
+        h += self.b1[..., None, :]
+        np.tanh(h, out=h)
+        u = _matmul(h, self.w2)
+        u += self.b2[..., None, :]
+        norms = np.sqrt(np.add.reduce(u * u, -1, keepdims=True))
+        if float(np.minimum.reduce(norms, None)) < ZERO_NORM_CUTOFF:
             raise ZeroVectorError("encoder produced a zero embedding")
         e = u / norms
         return e, (x, h, e, norms)
@@ -76,9 +80,15 @@ class ToyEncoder:
         """Parameter gradients given d(loss)/d(embedding rows)."""
         x, h, e, norms = cache
         # Through row normalization: du = (de - e <e, de>) / |u|.
-        du = (grad_e - e * np.sum(e * grad_e, axis=-1, keepdims=True)) / norms
-        grads = {"w2": _matmul(np.swapaxes(h, -1, -2), du), "b2": du.sum(axis=-2)}
-        dh = _matmul(du, np.swapaxes(self.w2, -1, -2)) * (1.0 - h * h)
+        du = e * np.add.reduce(e * grad_e, -1, keepdims=True)
+        np.subtract(grad_e, du, out=du)
+        du /= norms
+        grads = {"w2": _matmul(np.swapaxes(h, -1, -2), du), "b2": np.add.reduce(du, -2)}
+        # Through tanh: dh = (du W2^T) (1 - h^2).
+        dtanh = h * h
+        np.subtract(1.0, dtanh, out=dtanh)
+        dh = _matmul(du, np.swapaxes(self.w2, -1, -2))
+        dh *= dtanh
         grads["w1"] = _matmul(np.swapaxes(x, -1, -2), dh)
-        grads["b1"] = dh.sum(axis=-2)
+        grads["b1"] = np.add.reduce(dh, -2)
         return grads

@@ -89,8 +89,9 @@ def write_embeddings(
 
 def _read_header(obj, line_no: int) -> int:
     """The dimension n from a header record."""
-    if not isinstance(obj, dict) or obj.get("format_version") != EMBED_FORMAT_VERSION \
-            or "n" not in obj:
+    # A JSON integer only: ``true`` and ``1.0`` compare equal to 1.
+    version = obj.get("format_version") if isinstance(obj, dict) else None
+    if type(version) is not int or version != EMBED_FORMAT_VERSION or "n" not in obj:
         raise EmbeddingParseError(
             f"first record must be a header with format_version={EMBED_FORMAT_VERSION} and n",
             line_no

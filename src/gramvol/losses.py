@@ -91,12 +91,17 @@ class LossReport:
 def _direction(z: np.ndarray, axis: int, grad: bool):
     """``(loss, B * dloss/dz or None)`` for the softmax cross entropy of
     ``z`` along ``axis``, diagonal positive.  One exp matrix, shifted and
-    summed along ``axis`` (no transposed copy), is divided in place."""
-    top = z.max(axis=axis, keepdims=True)
+    summed along ``axis`` (no transposed copy), is divided in place.  The
+    reductions are direct ``ufunc.reduce`` calls: the bits of ``z.max``,
+    ``z.sum`` and ``np.mean``, without their Python-level wrappers."""
+    top = np.maximum.reduce(z, axis, keepdims=True)
     e = z - top
     np.exp(e, out=e)
-    s = e.sum(axis=axis, keepdims=True)
-    loss = float(np.mean(np.log(s).ravel() + top.ravel() - np.diagonal(z)))
+    s = np.add.reduce(e, axis, keepdims=True)
+    terms = np.log(s).ravel()
+    terms += top.ravel()
+    terms -= z.diagonal()
+    loss = float(np.add.reduce(terms) / z.shape[0])
     if not grad:
         return loss, None
     e /= s
@@ -109,8 +114,9 @@ def contrastive(z: np.ndarray, grad: bool = True):
 
     Returns ``(row loss, column loss, dL/dz)`` with the diagonal as the
     positive and ``L`` the mean of the two directions; ``dL/dz`` is None
-    unless ``grad``.  Reductions use ``np.sum``, never a flattened BLAS
-    dot, so results do not depend on the BLAS thread count.
+    unless ``grad``.  Every sum is a ``ufunc.reduce`` call, in ``np.sum``'s
+    pairwise order and never a flattened BLAS dot, so results do not
+    depend on the BLAS thread count.
     """
     l_rows, dz = _direction(z, 1, grad)
     l_cols, dz_cols = _direction(z, 0, grad)
@@ -262,7 +268,7 @@ def loss_report(
     rep = LossReport(l_d2a, l_a2d, degenerate_tuples=int(volumes.degenerate.sum()),
                      volumes=vols)
     if grad:
-        rep.grad_log_tau = -float(np.sum(dz * z))
+        rep.grad_log_tau = -float(np.add.reduce(dz * z, None))
         # Chain rule through every (i, j) entry: anchor j appears across rows i,
         # data row i appears across columns j.  The kernel sums both directly.
         rep.grad_anchor, rep.grad_datas = volumes.backward(dz * (-1.0 / tau.tau))
@@ -304,12 +310,13 @@ def cosine_pairwise_report(
         rep.grad_anchor, rep.grad_log_tau = np.zeros_like(anchor), 0.0
         rep.grad_datas = np.empty((nmod,) + anchor.shape)
     for off, d in enumerate(datas):
-        z = _matmul(d, anchor.T) / t
+        z = _matmul(d, anchor.T)
+        z /= t
         l_m2a, l_a2m, dz = contrastive(z, grad)
         rep.l_d2a += l_m2a / nmod
         rep.l_a2d += l_a2m / nmod
         if grad:
-            rep.grad_log_tau -= float(np.sum(dz * z)) / nmod
+            rep.grad_log_tau -= float(np.add.reduce(dz * z, None)) / nmod
             dz /= nmod * t
             rep.grad_datas[off] = _matmul(dz, anchor)
             rep.grad_anchor += _matmul(dz.T, d)

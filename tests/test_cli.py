@@ -609,6 +609,8 @@ class TestReaderErrors:
 
     @pytest.mark.parametrize("body, line_no", [
         (b'{"format_version": 1, "n": "x"}\n', 1),
+        (b'{"format_version": true, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, 0.0]}\n', 1),
+        (b'{"format_version": 1.0, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, 0.0]}\n', 1),
         (b'[1,2]\n', 1),
         (b'{"format_version": 1, "n": 2}\n{"id": "p", "modality": "a", "vec": [1.0, 0.0]}\n'
          b'{"id": "q", "modality": "a", "vec": ["\xff"]}\n', 3),
@@ -617,7 +619,8 @@ class TestReaderErrors:
          2),
         (b"", 1),
         (b"\n \n\t\r\n", 1),
-    ], ids=["n-not-int", "header-array", "non-utf8", "nan", "inf", "empty", "blank"])
+    ], ids=["n-not-int", "version-true", "version-float", "header-array", "non-utf8", "nan",
+            "inf", "empty", "blank"])
     def test_exit_2_with_path_and_line(self, tmp_path, body, line_no):
         from click.testing import CliRunner
 
