@@ -64,7 +64,7 @@ class ToyEncoder:
     def encode_cached(self, x: np.ndarray):
         """(embeddings, cache) where the cache feeds ``backward``."""
         x = np.asarray(x, dtype=np.float64)
-        # The bias adds and tanh write over each product: no fresh (k, B, H) arrays.
+        # The bias adds and tanh write over each product: no second (k, B, H) array.
         h = _matmul(x, self.w1)
         h += self.b1[..., None, :]
         np.tanh(h, out=h)
