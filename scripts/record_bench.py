@@ -9,7 +9,8 @@ Runs the unchanged ``perfbench/run.py`` on every workload that
 ``BENCHMARK.json`` declares, at fixed seeds: one ``--trace 0`` run per
 seed for the end-to-end metrics, then one ``--trace 1`` run per seed for
 the per-layer metrics.  The file holds the environment (with numpy's
-bundled OpenBLAS kernel and configuration, read in this process), the
+bundled OpenBLAS kernel and configuration, and numpy's SIMD baseline and
+dispatch targets, read in this process), the
 git revision, and each metric's median over the seeds with the per-seed
 values.  Each run takes the benchmark's ``run_seconds`` plus set-up,
 about 3 x 6 x 37 s in all.
@@ -58,6 +59,18 @@ def openblas_info() -> dict:
     return info
 
 
+def simd_info() -> dict:
+    """numpy's SIMD baseline and the dispatch targets this CPU runs, each a
+    list of numpy's target names, or None where numpy reports none."""
+    from numpy._core import _multiarray_umath as umath
+
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    features = getattr(umath, "__cpu_features__", {})
+    return {"simd_baseline": getattr(umath, "__cpu_baseline__", None),
+            "simd_dispatch": None if dispatch is None else [t for t in dispatch
+                                                            if features.get(t)]}
+
+
 def summarize(declared: list[dict], runs: list[dict]) -> dict:
     """Each declared metric's unit, direction, median over ``runs`` (the
     runs that report it) and per-run values."""
@@ -98,7 +111,7 @@ def record(label: str) -> dict:
         "seeds": list(SEEDS),
         "seconds": BENCH["run_seconds"],
         "environment": {"platform": platform.platform(), "machine": platform.machine(),
-                        **openblas_info()},
+                        **openblas_info(), **simd_info()},
         "workloads": {},
     }
     for workload in (w["name"] for w in BENCH["workloads"]):

@@ -41,15 +41,17 @@ command group maps each library error to one:
        names ``lam``; ``seed`` sets both) or holds a bad value
        (batch_size or eval_max_samples below 2, tau_init outside
        [1e-3, 10], a seed below 0, a non-finite float, a noise_sigma that
-       overflows the generated data, a training or held-out split of
-       fewer than 2 samples, sizes whose run would allocate more than
-       ``synth.MAX_RUN_VALUES`` = 2**28 float64 values up front (the
-       views, the parameters and their two Adam moments) or in one
-       training or evaluation step's cross-volume grid)
+       overflows the generated data, a latent_dim above embed_dim, a
+       training or held-out split of fewer than 2 samples, sizes whose
+       data (the views and class means), whose model (the parameters and
+       their two Adam moments, the matching head's under loss = gram only)
+       or whose one training or evaluation step's cross-volume grid would
+       take more than ``synth.MAX_RUN_VALUES`` = 2**28 float64 values)
     6  training diverged: a non-finite loss, a float overflow or invalid
        operation, or an encoder's zero embedding (the partial trace is
        still written)
-    1  any other library error, for every command, with a one-line message
+    1  any other library error, for every command, with a one-line message,
+       and running out of memory ("error: out of memory: <message>")
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ _EXIT_CODES: tuple[tuple[type[GramVolError], int], ...] = (
 
 
 class _Cli(click.Group):
-    """The command group, and the one place where a library error becomes
-    an exit code and one ``error:`` line on stderr."""
+    """The command group, and the one place where a library error, or
+    running out of memory, becomes an exit code and one ``error:`` line on
+    stderr."""
 
     def invoke(self, ctx):
         try:
@@ -134,6 +137,9 @@ class _Cli(click.Group):
         except GramVolError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(next((code for t, code in _EXIT_CODES if isinstance(exc, t)), 1))
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
+            sys.exit(1)
 
 
 @contextlib.contextmanager

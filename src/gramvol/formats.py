@@ -235,7 +235,7 @@ def build_train_setup(kv: dict[str, str]) -> tuple[SyntheticSpec, TrainConfig]:
     if "seed" in train_kwargs:
         spec_kwargs["seed"] = train_kwargs["seed"]
     spec, config = SyntheticSpec(**spec_kwargs), TrainConfig(**train_kwargs)
-    check_splits(config, spec.samples, spec.modalities)
+    check_splits(config, (spec.modalities, spec.samples, spec.latent_dim), spec.embed_dim)
     return spec, config
 
 

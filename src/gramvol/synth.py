@@ -10,6 +10,9 @@ exposes for verification.
 The k views are stored as one (k, N, d) array, the input layout of the
 training's encoder bank: a step gathers its batch with one index, and the
 training and held-out splits are slices of the array, not copies.
+
+This module describes and bounds the data only; ``train.check_splits``
+checks the data against a model.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import HIDDEN_WIDTH
 from .errors import InvalidSpecError
 from .volume import _matmul
 
-#: Most float64 values a training run on one spec may allocate up front:
-#: the dataset's views and class means, and the parameters of the encoders
-#: and the matching head with their two Adam moments.  ``train`` holds one
-#: step's cross-volume grid to it too.  2**28 values are 2 GiB, far above
+#: Most float64 values each part of a training run may take: a spec's views
+#: and class means (``SyntheticSpec`` checks them), and the run's parameters
+#: with their two Adam moments and one step's cross-volume grid
+#: (``train.check_splits`` checks these).  2**28 values are 2 GiB, far above
 #: every shipped config.
 MAX_RUN_VALUES = 2**28
 
@@ -34,6 +36,8 @@ MAX_RUN_VALUES = 2**28
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Generation parameters; the dataset is fully determined by ``seed``.
+
+    Generation does not read ``embed_dim``, the width a run embeds into.
 
     ``noise_sigma`` may be a single float or one float per modality
     (decreasing values make later modalities more informative).
@@ -58,10 +62,8 @@ class SyntheticSpec:
     paired_dims: int = 0
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.latent_dim > self.embed_dim:
-            raise InvalidSpecError(
-                f"latent_dim must be in [1, embed_dim], got {self.latent_dim} vs {self.embed_dim}"
-            )
+        if self.latent_dim < 1:
+            raise InvalidSpecError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.num_classes < 2:
             raise InvalidSpecError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.modalities < 2:
@@ -70,10 +72,8 @@ class SyntheticSpec:
             raise InvalidSpecError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
-        k, d, n = self.modalities, self.latent_dim, self.embed_dim
-        # Encoders d -> HIDDEN_WIDTH -> n, head k n -> 4 n -> 4 n -> 1, log tau.
-        params = k * (HIDDEN_WIDTH * (d + 1 + n) + n) + 4 * n * (k * n + 4 * n + 3) + 2
-        values = (k * self.samples + self.num_classes) * d + 3 * params
+        # The views and the class means.
+        values = (self.modalities * self.samples + self.num_classes) * self.latent_dim
         if values > MAX_RUN_VALUES:
             raise InvalidSpecError(f"a training run on this spec needs {values} float64 "
                                    f"values, more than {MAX_RUN_VALUES}")
@@ -124,21 +124,17 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class MultimodalDataset:
-    """Raw per-modality views plus class labels; row i is sample i."""
+    """Raw per-modality views; sample i is row i of every view."""
 
     views: np.ndarray  # (k, N, raw_dim), the encoder bank's input layout
-    labels: np.ndarray  # (N,) int
 
     @property
     def num_samples(self) -> int:
-        return self.labels.shape[0]
+        return self.views.shape[1]
 
     @property
     def modalities(self) -> int:
         return self.views.shape[0]
-
-    def subset(self, idx: slice) -> "MultimodalDataset":
-        return MultimodalDataset(views=self.views[:, idx], labels=self.labels[idx])
 
 
 def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
@@ -156,6 +152,7 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
     mu = rng.standard_normal((spec.num_classes, d))
     projections = [rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(k)]
 
+    # Each sample's class picks its mean; the dataset keeps no labels.
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     z = mu[labels] + rng.standard_normal((n_samples, d))
     masks = spec.visibility_masks()
@@ -174,7 +171,7 @@ def generate_dataset(spec: SyntheticSpec) -> MultimodalDataset:
                 f"noise_sigma {sigmas[i]!r} overflows the view of modality {i}"
             ) from None
 
-    return MultimodalDataset(views=views, labels=labels)
+    return MultimodalDataset(views=views)
 
 
 def split_sizes(samples: int, holdout_fraction: float) -> tuple[int, int]:
@@ -193,4 +190,4 @@ def split_dataset(
     """Fixed split by position: the leading samples train, the trailing
     ``holdout_fraction`` (``TrainConfig.holdout_fraction``) holds out."""
     cut, _ = split_sizes(dataset.num_samples, holdout_fraction)
-    return dataset.subset(slice(cut)), dataset.subset(slice(cut, None))
+    return MultimodalDataset(dataset.views[:, :cut]), MultimodalDataset(dataset.views[:, cut:])

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import synth
-from .encoders import ToyEncoder
+from .encoders import HIDDEN_WIDTH, ToyEncoder
 from .errors import (
     BatchTooSmallError,
     DivergedTrainingError,
@@ -173,16 +173,29 @@ def evaluate(
     return TraceRow(epoch, report.l_d2a, report.l_a2d, report.l_dam, matched, mismatched, r1)
 
 
-def check_splits(config: TrainConfig, samples: int, modalities: int) -> None:
-    """Raise ``InvalidConfigError`` when ``config`` cannot train on a
-    dataset of ``samples`` samples of ``modalities`` modalities: its
-    training or held-out split holds fewer than 2 samples (no contrastive
-    gradient, no mismatched tuple to evaluate), or one step's
-    (modalities - 1) B^2 cross volumes exceed ``synth.MAX_RUN_VALUES``.
+def check_splits(config: TrainConfig, shape: tuple[int, int, int], embed_dim: int) -> None:
+    """Raise ``InvalidConfigError`` when ``config`` cannot train an
+    ``embed_dim``-wide model on views of ``shape`` (k, N, d): the latent
+    width d exceeds ``embed_dim``; the model's parameters with their two
+    Adam moments (the matching head's under ``loss = gram`` only) exceed
+    ``synth.MAX_RUN_VALUES``; the training or held-out split holds fewer
+    than 2 samples (no contrastive gradient, no mismatched tuple to
+    evaluate); or one step's (k - 1) B^2 cross volumes exceed
+    ``synth.MAX_RUN_VALUES``.
 
     It needs the sizes only, so ``formats.build_train_setup`` runs it
     before any data is made.
     """
+    (k, samples, d), n = shape, embed_dim
+    if d > n:
+        raise InvalidConfigError(f"latent_dim must be <= embed_dim, got {d} vs {n}")
+    # Encoders d -> HIDDEN_WIDTH -> n, and log tau; the head k n -> 4 n -> 4 n -> 1.
+    params = k * (HIDDEN_WIDTH * (d + 1 + n) + n) + 1
+    if config.loss == "gram":
+        params += 4 * n * (k * n + 4 * n + 3) + 1
+    if 3 * params > synth.MAX_RUN_VALUES:
+        raise InvalidConfigError(f"a training run on this spec needs {3 * params} float64 "
+                                 f"values, more than {synth.MAX_RUN_VALUES}")
     for name, part, size in zip(("training", "held-out"),
                                 synth.split_sizes(samples, config.holdout_fraction),
                                 (config.batch_size, config.eval_max_samples)):
@@ -191,7 +204,7 @@ def check_splits(config: TrainConfig, samples: int, modalities: int) -> None:
                 f"the {name} split holds {part} of {samples} samples "
                 f"(holdout_fraction {config.holdout_fraction}); it needs at least 2"
             )
-        grid = (modalities - 1) * min(size, part) ** 2
+        grid = (k - 1) * min(size, part) ** 2
         if grid > synth.MAX_RUN_VALUES:
             raise InvalidConfigError(f"a {name} step's cross-volume grid needs {grid} "
                                      f"float64 values, more than {synth.MAX_RUN_VALUES}")
@@ -265,7 +278,7 @@ def train(
     value stops being finite, a float operation overflows or turns
     invalid, or an encoder produces a zero embedding.
     """
-    check_splits(config, dataset.num_samples, dataset.modalities)
+    check_splits(config, dataset.views.shape, embed_dim)
     rng = np.random.default_rng(config.seed)
     train_ds, held_ds = split_dataset(dataset, config.holdout_fraction)
 

@@ -413,6 +413,42 @@ class TestTrainCommand:
         assert not out.exists()
         assert generated == []
 
+    #: A model too wide for the bound under gram only: its matching head
+    #: alone is 3 x 117,465,089 values with Adam's moments.
+    WIDE = "embed_dim = 2048\nsamples = 256\nbatch_size = 32\nepochs = 0\n"
+
+    def test_wide_cosine_model_trains(self, tmp_path):
+        # No head is made under cosine, and none is counted: the encoders
+        # and the temperature hold 799,105 parameters, 2,397,315 values
+        # with Adam's moments.
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.WIDE + "loss = cosine\n")
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert (out / "checkpoint.bin").stat().st_size == 8 * 799_105
+
+    def test_wide_gram_model_exit_5(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        generated = []
+        monkeypatch.setattr(cli_mod, "generate_dataset", generated.append)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.WIDE + "loss = gram\n")
+        out = tmp_path / "run"
+        result = CliRunner().invoke(cli_mod.main, ["--out", str(out), "train", str(cfg)])
+        assert result.exit_code == 5, result.exception
+        assert result.stderr == ("error: a training run on this spec needs 354792582 float64 "
+                                 "values, more than 268435456\n")
+        assert not out.exists()
+        assert generated == []
+
     def test_diverged_training_exit_6(self, tmp_path, monkeypatch):
         # The bounded toy architecture cannot diverge from a config alone,
         # so the abort path is exercised by stubbing the trainer.
@@ -548,6 +584,29 @@ class TestEvalCommand:
         assert res.returncode == 5
         assert res.stderr == f"error: bad --ks value: no cutoff in {ks!r}\n"
         assert res.stdout == ""
+
+
+    def test_out_of_memory_exit_1_one_line(self, tmp_path, rng, monkeypatch):
+        # An N x N matrix that does not fit ends in one line, not a traceback.
+        from click.testing import CliRunner
+
+        import gramvol.cli as cli_mod
+
+        message = "Unable to allocate 68.7 MiB for an array with shape (3000, 3000)"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, "cross_volume_matrix", exhausted)
+        ids = ["a", "b", "c"]
+        for name in ("txt", "vid"):
+            write_modality(tmp_path / f"{name}.jsonl", name, ids, unit_rows(rng, 3, 5))
+        result = CliRunner().invoke(cli_mod.main, [
+            "eval", str(tmp_path / "txt.jsonl"), str(tmp_path / "vid.jsonl"), "--anchor", "txt"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: out of memory: {message}\n"
+        assert result.stdout == ""
 
 
 class TestMetricCommand:
@@ -977,6 +1036,12 @@ class TestImportSets:
         modules = imported_modules("-c", "import gramvol")
         assert "gramvol" in modules
         assert not modules & TRAINING_MODULES
+
+    def test_synth_imports_no_model_module(self):
+        # The synthetic data knows nothing of the encoders, losses or training.
+        modules = imported_modules("-c", "import gramvol.synth")
+        assert "gramvol.synth" in modules
+        assert not modules & {"gramvol.encoders", "gramvol.losses", "gramvol.train"}
 
     def test_train_imports_no_logging(self, tmp_path):
         # Training reports through its trace only; nothing logs.

@@ -289,7 +289,7 @@ class TestTrainLoop:
         ds = gv.generate_dataset(tiny_spec())
         views = ds.views.copy()
         views[0, 0, 0] = np.nan
-        broken = type(ds)(views=views, labels=ds.labels)
+        broken = type(ds)(views=views)
         with pytest.raises(DivergedTrainingError) as err:
             gv.train(tiny_config(epochs=2), broken, embed_dim=16)
         assert err.value.trace is not None
@@ -321,6 +321,14 @@ class TestTrainLoop:
                            ) as err:
             gv.train(tiny_config(epochs=1), ds, embed_dim=16)
         assert [r.epoch for r in err.value.trace.rows] == [0]
+
+    def test_latent_dim_exceeding_embed_dim(self):
+        # A library call gets the refusal that ``gramvol train`` gives.
+        spec = tiny_spec()
+        ds = gv.generate_dataset(spec)
+        with pytest.raises(InvalidConfigError,
+                           match="^latent_dim must be <= embed_dim, got 6 vs 5$"):
+            gv.train(tiny_config(epochs=0), ds, embed_dim=spec.latent_dim - 1)
 
     def test_tau_clamped_into_range(self):
         ds = gv.generate_dataset(tiny_spec())
@@ -368,7 +376,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("samples, max_samples", [(40, 1), (1, 32)])
     def test_one_sample_raises(self, rng, loss_kind, samples, max_samples):
         # One sample has no mismatched tuple: no row rather than a NaN one.
-        ds = gv.generate_dataset(tiny_spec(samples=40)).subset(slice(samples))
+        views = gv.generate_dataset(tiny_spec(samples=40)).views
+        ds = synth.MultimodalDataset(views[:, :samples])
         encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in ds.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         with pytest.raises(BatchTooSmallError, match="at least 2 samples, got 1"):
@@ -384,7 +393,7 @@ class TestEvaluate:
         # padded to 32 on their way to BLAS, 32 rows are not.
         _, held = synth.split_dataset(gv.generate_dataset(tiny_spec()), 0.5)
         assert not held.views.flags.c_contiguous
-        copy = synth.MultimodalDataset(views=held.views.copy(), labels=held.labels)
+        copy = synth.MultimodalDataset(views=held.views.copy())
         encoders = ToyEncoder.stack([ToyEncoder.init(v.shape[1], 16, rng) for v in held.views])
         head = DamHead(3, 16, rng) if loss_kind == "gram" else None
         rows = [evaluate(encoders, ds, Temperature.from_tau(0.2), head, max_samples,
@@ -395,28 +404,42 @@ class TestEvaluate:
 
 class TestRunSizeBound:
     def test_counts_what_a_volume_run_allocates(self, monkeypatch):
-        # The views, the class means, and the parameters with their two
-        # Adam moments: a spec at the bound passes, one value past it fails.
+        # The spec counts its data, the views and the class means; the
+        # training check counts the model, the parameters with their two
+        # Adam moments, which hold the matching head under gram only.  A
+        # count at the bound passes, one value past it fails.
         spec = tiny_spec()
         ds = gv.generate_dataset(spec)
-        res = gv.train(tiny_config(epochs=0), ds, embed_dim=spec.embed_dim)
-        values = (sum(v.size for v in ds.views) + spec.num_classes * spec.latent_dim
-                  + 3 * sum(p.size for p in res.params.values()))
-        monkeypatch.setattr(synth, "MAX_RUN_VALUES", values)
+        data = ds.views.size + spec.num_classes * spec.latent_dim
+        configs = {loss: tiny_config(epochs=0, loss=loss) for loss in ("gram", "cosine")}
+        models = {loss: 3 * sum(p.size for p in gv.train(config, ds, embed_dim=16).params.values())
+                  for loss, config in configs.items()}
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", data)
         dataclasses.replace(spec)
-        monkeypatch.setattr(synth, "MAX_RUN_VALUES", values - 1)
-        with pytest.raises(InvalidSpecError, match=f"needs {values} float64 values"):
+        monkeypatch.setattr(synth, "MAX_RUN_VALUES", data - 1)
+        with pytest.raises(InvalidSpecError, match=f"needs {data} float64 values"):
             dataclasses.replace(spec)
+        for loss, config in configs.items():
+            model = models[loss]
+            monkeypatch.setattr(synth, "MAX_RUN_VALUES", model)
+            gv.train(config, ds, embed_dim=spec.embed_dim)
+            monkeypatch.setattr(synth, "MAX_RUN_VALUES", model - 1)
+            with pytest.raises(InvalidConfigError,
+                               match=f"^a training run on this spec needs {model} float64"):
+                gv.train(config, ds, embed_dim=spec.embed_dim)
 
     @pytest.mark.parametrize("name, config, b", [
-        # 64 training samples, batches capped at the split.
-        ("training", tiny_config(epochs=0, batch_size=100), 64),
-        # 16 held-out samples, the evaluated slice capped at the split.
-        ("held-out", tiny_config(epochs=0, batch_size=2, eval_max_samples=100), 16),
+        # 200 training samples, batches capped at the split.
+        ("training", tiny_config(epochs=0, batch_size=1000, holdout_fraction=0.5), 200),
+        # 200 held-out samples, the evaluated slice capped at the split.
+        ("held-out", tiny_config(epochs=0, batch_size=2, eval_max_samples=1000,
+                                 holdout_fraction=0.5), 200),
     ], ids=["training", "held-out"])
     def test_counts_one_steps_cross_volume_grid(self, monkeypatch, name, config, b):
         # A step's cross volumes are (modalities - 1) B^2 float64 values.
-        spec = tiny_spec()
+        # The 400 samples make a grid larger than the model's 48,726
+        # values, so the grid, not the model, meets the bound.
+        spec = tiny_spec(samples=400)
         ds = gv.generate_dataset(spec)
         grid = (spec.modalities - 1) * b * b
         monkeypatch.setattr(synth, "MAX_RUN_VALUES", grid)
